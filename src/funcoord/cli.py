@@ -13,7 +13,9 @@ Commands
                derivative orders and registry coefficients; write the field
                as CSV and a JSON summary.
 
-Exit codes: 0 success, 1 suite failure, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 1 suite failure, 2 configuration error, 3 I/O error,
+4 numerical failure (a non-finite kernel value, a singular transform, a
+Riccati blow-up or a degenerate metric).
 
 Coefficient functions come from a fixed named registry (no expression
 parser); kernels are selected by id. All floating-point output uses 17
@@ -34,9 +36,10 @@ import numpy as np
 
 from .distributions import GeneralizedFunction
 from .errors import FuncoordError
-from .grid import Grid, make_uniform_grid
+from .grid import Grid, csv_text, make_uniform_grid
 from .kernels import (
     Kernel,
+    _as_coefficient,
     apply,
     dilation,
     discretize,
@@ -68,6 +71,7 @@ EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_NUMERICAL = 4
 
 
 class ConfigError(FuncoordError, ValueError):
@@ -91,28 +95,27 @@ class NamedCoefficient:
         return self.fn(t)
 
 
-def _const(value):
-    return lambda t: np.full(np.shape(t), value) if np.ndim(t) else value
-
-
 COEFFICIENTS: Dict[str, NamedCoefficient] = {
     c.name: c
     for c in [
-        NamedCoefficient("1", _const(1.0), (_const(0.0), _const(0.0))),
-        NamedCoefficient("x", lambda t: np.asarray(t, dtype=float), (_const(1.0), _const(0.0))),
+        NamedCoefficient("1", _as_coefficient(1.0),
+                         (_as_coefficient(0.0), _as_coefficient(0.0))),
+        NamedCoefficient("x", lambda t: np.asarray(t, dtype=float),
+                         (_as_coefficient(1.0), _as_coefficient(0.0))),
         NamedCoefficient("x^2", lambda t: np.asarray(t, dtype=float) ** 2,
-                         (lambda t: 2.0 * np.asarray(t, dtype=float), _const(2.0))),
-        NamedCoefficient("y", lambda t: np.asarray(t, dtype=float), (_const(1.0), _const(0.0))),
+                         (lambda t: 2.0 * np.asarray(t, dtype=float), _as_coefficient(2.0))),
+        NamedCoefficient("y", lambda t: np.asarray(t, dtype=float),
+                         (_as_coefficient(1.0), _as_coefficient(0.0))),
         NamedCoefficient("y^2", lambda t: np.asarray(t, dtype=float) ** 2,
-                         (lambda t: 2.0 * np.asarray(t, dtype=float), _const(2.0))),
+                         (lambda t: 2.0 * np.asarray(t, dtype=float), _as_coefficient(2.0))),
         NamedCoefficient("e^y", np.exp, (np.exp, np.exp)),
         NamedCoefficient("e^-y", lambda t: np.exp(-np.asarray(t, dtype=float)),
                          (lambda t: -np.exp(-np.asarray(t, dtype=float)),
                           lambda t: np.exp(-np.asarray(t, dtype=float)))),
         NamedCoefficient("-iy", lambda t: -1j * np.asarray(t, dtype=float),
-                         (_const(-1j), _const(0.0))),
+                         (_as_coefficient(-1j), _as_coefficient(0.0))),
         NamedCoefficient("-y^2", lambda t: -(np.asarray(t, dtype=float) ** 2),
-                         (lambda t: -2.0 * np.asarray(t, dtype=float), _const(-2.0))),
+                         (lambda t: -2.0 * np.asarray(t, dtype=float), _as_coefficient(-2.0))),
     ]
 }
 
@@ -226,10 +229,7 @@ class RunConfig:
             if fmt not in ("csv", "json"):
                 raise ConfigError(f"unknown output format {fmt!r}")
         for name in (self.a, self.b):
-            if name not in COEFFICIENTS:
-                raise ConfigError(
-                    f"unknown coefficient {name!r}; registry: {sorted(COEFFICIENTS)}"
-                )
+            _coefficient(name)
         return self
 
     def make_kernel(self) -> Kernel:
@@ -276,32 +276,19 @@ def _load_config(path: Optional[str]) -> dict:
 def _resolve_config(args) -> RunConfig:
     doc = _load_config(getattr(args, "config", None))
     config = RunConfig(**doc)
-    if getattr(args, "n", None) is not None:
-        config.n = args.n
-    if getattr(args, "lo", None) is not None:
-        config.lo = args.lo
-    if getattr(args, "hi", None) is not None:
-        config.hi = args.hi
+    for name in ("n", "lo", "hi", "out", "seed", "threshold", "a", "b"):
+        if getattr(args, name, None) is not None:
+            setattr(config, name, getattr(args, name))
     if getattr(args, "periodic", False):
         config.periodic = True
     if getattr(args, "kernel", None) is not None:
         config.kernel = {"id": args.kernel}
     if getattr(args, "suite", None):
         config.suites = list(args.suite)
-    if getattr(args, "out", None) is not None:
-        config.out = args.out
     if getattr(args, "format", None) is not None:
         config.formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "threshold", None) is not None:
-        config.threshold = args.threshold
     if getattr(args, "invert", False):
         config.invert = True
-    if getattr(args, "a", None) is not None:
-        config.a = args.a
-    if getattr(args, "b", None) is not None:
-        config.b = args.b
     return config.validate()
 
 
@@ -419,38 +406,9 @@ SUITE_ORDER = ["fourier", "derivative", "theorem", "product", "xdx", "nonlinear"
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
-
-
-def _samples_csv(x: np.ndarray, values: np.ndarray) -> str:
-    if np.iscomplexobj(values):
-        lines = ["x,re,im"]
-        for xi, vi in zip(x, values):
-            lines.append(f"{_fmt(xi)},{_fmt(vi.real)},{_fmt(vi.imag)}")
-    else:
-        lines = ["x,value"]
-        for xi, vi in zip(x, values):
-            lines.append(f"{_fmt(xi)},{_fmt(vi)}")
-    return "\n".join(lines) + "\n"
-
-
-def _field_csv(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> str:
-    complex_field = np.iscomplexobj(values)
-    lines = ["x,y,re,im"] if complex_field else ["x,y,R"]
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            v = values[i, j]
-            if complex_field:
-                lines.append(f"{_fmt(xi)},{_fmt(yj)},{_fmt(v.real)},{_fmt(v.imag)}")
-            else:
-                lines.append(f"{_fmt(xi)},{_fmt(yj)},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
 
 
 def _dump_json(doc) -> str:
@@ -500,7 +458,7 @@ def cmd_transform(config: RunConfig, input_path: str) -> int:
     out = Path(config.out)
     x = gf.grid.nodes
     if "csv" in config.formats:
-        _write_text(out / "transform.csv", _samples_csv(x, values))
+        _write_text(out / "transform.csv", csv_text(("x", "value"), x, values))
     if "json" in config.formats:
         doc = {
             "kernel": config.kernel,
@@ -519,7 +477,7 @@ def cmd_transform(config: RunConfig, input_path: str) -> int:
         inverse, report = invert(matrix, config.threshold)
         recovered = inverse.entries @ gf.smooth
         if "csv" in config.formats:
-            _write_text(out / "transform_inverse.csv", _samples_csv(x, recovered))
+            _write_text(out / "transform_inverse.csv", csv_text(("x", "value"), x, recovered))
         print(_dump_json(report.to_dict()), end="")
     return EXIT_OK
 
@@ -535,7 +493,8 @@ def cmd_residual(config: RunConfig, n: int, m: int) -> int:
     )
     out = Path(config.out)
     if "csv" in config.formats:
-        _write_text(out / "residual.csv", _field_csv(field_.x, field_.y, field_.values))
+        table = csv_text(("x", "y", "R"), field_.x[:, None], field_.y[None, :], field_.values)
+        _write_text(out / "residual.csv", table)
     summary = {
         "kernel": config.kernel,
         "n": n,
@@ -619,12 +578,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_transform(config, args.input)
         if args.command == "residual":
             return cmd_residual(config, args.dx_order, args.dy_order)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except FuncoordError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        # numerical failures are the FuncoordErrors that are ArithmeticErrors
+        return EXIT_NUMERICAL if isinstance(exc, ArithmeticError) else EXIT_CONFIG
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO

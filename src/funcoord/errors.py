@@ -26,11 +26,11 @@ class KernelEvaluationError(FuncoordError, ArithmeticError):
 
     def __init__(self, kernel_id, x, y, message=None):
         self.kernel_id = kernel_id
-        self.x = x
-        self.y = y
+        self.x = float(x)
+        self.y = float(y)
         super().__init__(
             message
-            or f"kernel {kernel_id!r} is not finite at (x, y) = ({x!r}, {y!r})"
+            or f"kernel {kernel_id!r} is not finite at (x, y) = ({self.x!r}, {self.y!r})"
         )
 
 

@@ -15,7 +15,7 @@ the verification suites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "fd_weights",
     "wavenumbers",
     "derivative_symbol",
+    "csv_text",
 ]
 
 #: minimum node count accepted by make_uniform_grid
@@ -118,16 +119,30 @@ class OperatorMatrix:
     def to_csv(self) -> str:
         """Entry-list CSV: ``i,j,value`` rows (``i,j,re,im`` when complex),
         full 17-significant-digit floats."""
-        complex_valued = np.iscomplexobj(self.entries)
-        lines = ["i,j,re,im"] if complex_valued else ["i,j,value"]
-        for i in range(self.n):
-            for j in range(self.n):
-                v = self.entries[i, j]
-                if complex_valued:
-                    lines.append(f"{i},{j},{v.real:.17g},{v.imag:.17g}")
-                else:
-                    lines.append(f"{i},{j},{v:.17g}")
-        return "\n".join(lines) + "\n"
+        index = np.arange(self.n)
+        return csv_text(("i", "j", "value"), index[:, None], index[None, :], self.entries)
+
+
+def csv_text(names: Sequence[str], *columns) -> str:
+    """CSV text of named columns with 17-significant-digit numbers, which
+    round-trip exactly. The columns broadcast against each other, rows
+    follow C order, and a complex column expands to ``re,im``. Rows are
+    formatted one leading index at a time, never as whole-column lists."""
+    header, parts = [], []
+    for name, column in zip(names, np.broadcast_arrays(*columns)):
+        # one block of rows per leading index; a 1-D column is one block
+        column = column.reshape(-1, column.shape[-1])
+        if np.iscomplexobj(column):
+            header += ["re", "im"]
+            parts += [column.real, column.imag]
+        else:
+            header.append(name)
+            parts.append(column)
+    row = ",".join(["%.17g"] * len(parts))
+    lines = [",".join(header)]
+    for i in range(parts[0].shape[0]):
+        lines.extend(row % values for values in zip(*(p[i].tolist() for p in parts)))
+    return "\n".join(lines) + "\n"
 
 
 def make_uniform_grid(lo: float, hi: float, n: int, periodic: bool = False) -> Grid:

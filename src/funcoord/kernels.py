@@ -15,7 +15,12 @@ matrix-vector product. The catalog covers:
 ``exp_exp``          ``e^{x e^{+/- y}}``.
 ``multiplication``   ``a0(x) delta(x - y)`` — diagonal-only, never
                      evaluated pointwise.
-``dilation``         ``c delta(x - y)`` — diagonal-only scaling.
+``dilation``         ``c delta(x - y)`` — a constant ``factor``.
+
+Partials come from one any-order callable per axis (``dx_n``/``dy_n``) up
+to a declared reach (``dx_order``/``dy_order``), and from finite
+differences of ``eval`` beyond it. Translation kernels carry their profile
+(``profile_n``); diagonal kernels carry only their ``factor``.
 
 Inversion is always regularized (truncated SVD); deconvolution against a
 smoothing kernel is ill-posed, and the verification suites prefer residual
@@ -31,7 +36,7 @@ growth. Each test documents its domain choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +52,7 @@ from .errors import (
     SingularTransformError,
     UnsupportedOrderError,
 )
-from .grid import Grid, OperatorMatrix, diff_matrix, wavenumbers
+from .grid import Grid, OperatorMatrix, csv_text, diff_matrix, fd_weights, wavenumbers
 
 __all__ = [
     "Kernel",
@@ -98,47 +103,40 @@ class ConditionReport:
 class Kernel:
     """Closed-form (or tabulated) transformation kernel ``w(x, y)``.
 
-    ``eval``, ``dx`` and ``dy`` take broadcastable arrays. ``dx_n``/``dy_n``
-    are optional any-order analytic partials ``(x, y, q) -> d^q w``; their
-    reach is bounded by ``dx_order``/``dy_order`` (``None`` = any order).
-    Orders beyond the analytic reach fall back to centered finite
-    differences of ``eval`` unless ``fd_fallback`` is disabled.
+    ``eval`` takes broadcastable arrays. ``dx_n``/``dy_n`` are the analytic
+    partials ``(x, y, q) -> d^q w``; their reach is bounded by
+    ``dx_order``/``dy_order`` (``None`` = any order), and a missing callable
+    means reach 0. Orders beyond the analytic reach fall back to centered
+    finite differences of ``eval`` unless ``fd_fallback`` is disabled.
 
-    Diagonal kernels (``multiplication``, ``dilation``) carry no pointwise
-    evaluator at all; discretization and application branch on ``diagonal``.
+    ``profile_n(t, q)`` marks a translation kernel ``f(x - y)``: it is the
+    ``q``-th derivative of ``f``, used to periodize the kernel on periodic
+    grids. ``factor`` marks a diagonal kernel ``factor(x) delta(x - y)``
+    (``multiplication``; ``dilation`` is a constant factor). It has no
+    pointwise values: discretization and application multiply by the
+    factor, and every pointwise access raises :class:`DomainError`.
     """
 
     id: str
     eval: Optional[Callable] = None
     is_complex: bool = False
-    dx: Optional[Callable] = None
-    dy: Optional[Callable] = None
     dx_n: Optional[Callable] = None
     dy_n: Optional[Callable] = None
     dx_order: Optional[int] = None
     dy_order: Optional[int] = None
-    diagonal: Optional[Tuple[str, object]] = None
-    translation: bool = False
+    factor: Optional[Callable] = None
     profile_n: Optional[Callable] = None
     tail_integrable: bool = False
     frequency_columns: bool = False
     table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     fd_fallback: bool = True
 
-    # -- analytic-order bookkeeping -----------------------------------------
+    # -- partial derivatives -------------------------------------------------
 
-    def _analytic_reach(self, which: str) -> int:
-        fn = self.dx_n if which == "x" else self.dy_n
-        order = self.dx_order if which == "x" else self.dy_order
-        if fn is None:
-            return 1 if (self.dx if which == "x" else self.dy) is not None else 0
-        return math.inf if order is None else order
-
-    def has_analytic_x(self, q: int) -> bool:
-        return q == 0 or q <= self._analytic_reach("x")
-
-    def has_analytic_y(self, q: int) -> bool:
-        return q == 0 or q <= self._analytic_reach("y")
+    def _analytic(self, axis: str, q: int) -> bool:
+        """Whether the order-``q`` partial along ``axis`` is analytic."""
+        fn, reach = (self.dx_n, self.dx_order) if axis == "x" else (self.dy_n, self.dy_order)
+        return q == 0 or (fn is not None and (reach is None or q <= reach))
 
     def partial_x(self, x, y, q: int):
         return self._partial("x", x, y, q)
@@ -146,43 +144,55 @@ class Kernel:
     def partial_y(self, x, y, q: int):
         return self._partial("y", x, y, q)
 
-    def _partial(self, which: str, x, y, q: int):
-        if self.diagonal is not None:
+    def _partial(self, axis: str, x, y, q: int):
+        if self.factor is not None:
             raise DomainError(f"diagonal kernel {self.id!r} has no pointwise values")
         if q == 0:
             return self.eval(x, y)
-        fn_n = self.dx_n if which == "x" else self.dy_n
-        fn_1 = self.dx if which == "x" else self.dy
-        analytic = self.has_analytic_x(q) if which == "x" else self.has_analytic_y(q)
-        if analytic:
-            if fn_n is not None:
-                return fn_n(x, y, q)
-            return fn_1(x, y)
+        if self._analytic(axis, q):
+            return (self.dx_n if axis == "x" else self.dy_n)(x, y, q)
         if not self.fd_fallback:
             raise UnsupportedOrderError(
-                f"kernel {self.id!r} has no analytic order-{q} {which}-derivative "
+                f"kernel {self.id!r} has no analytic order-{q} {axis}-derivative "
                 "and finite-difference fallback is disabled"
             )
-        return self._fd_partial(which, x, y, q)
+        return self._fd_partial(axis, x, y, q)
 
-    def _fd_partial(self, which: str, x, y, q: int):
-        # centered stencil of q+4/q+5 points; step balances truncation
-        # against roundoff for the q-th derivative
-        p = q + 4 if (q + 4) % 2 == 1 else q + 5
-        h = np.finfo(float).eps ** (1.0 / (q + 4))
-        offsets = (np.arange(p) - p // 2) * h
-        from .grid import fd_weights
-
-        w = fd_weights(offsets, 0.0, q)
+    def _fd_partial(self, axis: str, x, y, q: int):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if axis == "x":
+            return _fd_derivative(lambda s: self.eval(s, y), q)(x)
+        return _fd_derivative(lambda s: self.eval(x, s), q)(y)
+
+
+def _fd_derivative(fn: Callable, q: int) -> Callable:
+    """``q``-th derivative of ``fn`` on a centered stencil of q+4/q+5
+    points; the step ``eps^(1/(q+4))`` balances truncation against
+    roundoff for the q-th derivative."""
+    p = q + 4 if (q + 4) % 2 == 1 else q + 5
+    h = np.finfo(float).eps ** (1.0 / (q + 4))
+    offsets = (np.arange(p) - p // 2) * h
+    w = fd_weights(offsets, 0.0, q)
+
+    def deriv(t):
+        t = np.asarray(t, dtype=float)
         total = None
         for wk, dk in zip(w, offsets):
-            term = wk * (
-                self.eval(x + dk, y) if which == "x" else self.eval(x, y + dk)
-            )
+            term = wk * np.asarray(fn(t + dk))
             total = term if total is None else total + term
         return total
+
+    return deriv
+
+
+def _as_coefficient(c) -> Callable:
+    """A coefficient as a callable: callables pass through, a constant
+    becomes a function returning it (as a full array for array input)."""
+    if callable(c):
+        return c
+    value = complex(c) if isinstance(c, complex) else float(c)
+    return lambda t: np.full(np.shape(t), value) if np.ndim(t) else value
 
 
 def _hermite(q: int, t):
@@ -210,8 +220,6 @@ def fourier() -> Kernel:
         id="fourier",
         eval=w,
         is_complex=True,
-        dx=lambda x, y: 1j * np.asarray(y) * w(x, y),
-        dy=lambda x, y: 1j * np.asarray(x) * w(x, y),
         dx_n=lambda x, y, q: (1j * np.asarray(y)) ** q * w(x, y),
         dy_n=lambda x, y, q: (1j * np.asarray(x)) ** q * w(x, y),
         frequency_columns=True,
@@ -242,11 +250,8 @@ def gaussian() -> Kernel:
     return Kernel(
         id="gaussian",
         eval=w,
-        dx=lambda x, y: dxn(x, y, 1),
-        dy=lambda x, y: dyn(x, y, 1),
         dx_n=dxn,
         dy_n=dyn,
-        translation=True,
         profile_n=profile,
         tail_integrable=True,
     )
@@ -286,13 +291,10 @@ def translation_family(
     return Kernel(
         id=id,
         eval=w,
-        dx=(lambda x, y: dxn(x, y, 1)) if reach >= 1 else None,
-        dy=(lambda x, y: dyn(x, y, 1)) if reach >= 1 else None,
-        dx_n=dxn if reach >= 1 else None,
-        dy_n=dyn if reach >= 1 else None,
-        dx_order=reach or None,
-        dy_order=reach or None,
-        translation=True,
+        dx_n=dxn,
+        dy_n=dyn,
+        dx_order=reach,
+        dy_order=reach,
         profile_n=profile,
         tail_integrable=tail_integrable,
     )
@@ -312,26 +314,19 @@ def exp_family(
     otherwise the finite-difference fallback handles them.
     """
     w = lambda x, y: F(np.asarray(y)) * np.exp(-c(np.asarray(x)) * b(np.asarray(y)))
-    dx = None
+    # reach 1 on both axes, so these are only ever asked for q == 1
+    dxn = dyn = None
     if dc is not None:
-        dx = lambda x, y: -dc(np.asarray(x)) * b(np.asarray(y)) * w(x, y)
-    dy = None
+        dxn = lambda x, y, q: -dc(np.asarray(x)) * b(np.asarray(y)) * w(x, y)
     if dF is not None and db is not None:
 
-        def dy(x, y):
+        def dyn(x, y, q):
             x, y = np.asarray(x), np.asarray(y)
             e = np.exp(-c(x) * b(y))
             return (dF(y) - F(y) * c(x) * db(y)) * e
 
     return Kernel(
-        id="exp_family",
-        eval=w,
-        dx=dx,
-        dy=dy,
-        dx_n=(lambda x, y, q: dx(x, y)) if dx is not None else None,
-        dy_n=(lambda x, y, q: dy(x, y)) if dy is not None else None,
-        dx_order=1 if dx is not None else None,
-        dy_order=1 if dy is not None else None,
+        id="exp_family", eval=w, dx_n=dxn, dy_n=dyn, dx_order=1, dy_order=1
     )
 
 
@@ -362,8 +357,6 @@ def exp_exp(sign: int) -> Kernel:
     return Kernel(
         id=f"exp_exp{'+' if sign > 0 else '-'}",
         eval=w,
-        dx=lambda x, y: dxn(x, y, 1),
-        dy=lambda x, y: dyn(x, y, 1),
         dx_n=dxn,
         dy_n=dyn,
         dy_order=2,
@@ -372,12 +365,12 @@ def exp_exp(sign: int) -> Kernel:
 
 def multiplication(a0: Callable) -> Kernel:
     """Diagonal kernel ``a0(x) delta(x - y)`` — multiplication by ``a0``."""
-    return Kernel(id="multiplication", diagonal=("multiplication", a0))
+    return Kernel(id="multiplication", factor=a0)
 
 
 def dilation(c: float) -> Kernel:
     """Diagonal kernel ``c delta(x - y)`` — uniform scaling by ``c``."""
-    return Kernel(id="dilation", diagonal=("dilation", float(c)))
+    return Kernel(id="dilation", factor=_as_coefficient(float(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +402,7 @@ def kernel_table(kernel: Kernel, x_rows: np.ndarray, grid: Grid, dx_order: int =
     grids and non-translation kernels evaluate the kernel as given.
     """
     cols = column_nodes(kernel, grid)
-    if kernel.translation and grid.periodic and kernel.profile_n is not None:
+    if kernel.profile_n is not None and grid.periodic:
         span = grid.hi - grid.lo
         delta = x_rows[:, None] - cols[None, :]
         wrapped = delta - span * np.round(delta / span)
@@ -424,22 +417,24 @@ def kernel_table(kernel: Kernel, x_rows: np.ndarray, grid: Grid, dx_order: int =
 
 def _self_check(kernel: Kernel, x_range, y_range) -> None:
     """Verify analytic first partials against centered finite differences
-    at seeded random points of the working rectangle."""
+    at seeded random points of the working rectangle, on every axis whose
+    analytic reach is at least 1."""
     rng = np.random.default_rng(_SELF_CHECK_SEED)
     xs = rng.uniform(*x_range, _SELF_CHECK_POINTS)
     ys = rng.uniform(*y_range, _SELF_CHECK_POINTS)
-    for which, fn in (("x", kernel.dx), ("y", kernel.dy)):
-        if fn is None:
+    for which in ("x", "y"):
+        if not kernel._analytic(which, 1):
             continue
-        analytic = fn(xs, ys)
+        analytic = kernel._partial(which, xs, ys, 1)
         numeric = kernel._fd_partial(which, xs, ys, 1)
         scale = 1.0 + float(np.max(np.abs(analytic)))
         err = float(np.max(np.abs(analytic - numeric)))
         if not err <= _SELF_CHECK_TOL * scale:
+            worst = int(np.argmax(np.abs(analytic - numeric)))
             raise KernelEvaluationError(
                 kernel.id,
-                xs[int(np.argmax(np.abs(analytic - numeric)))],
-                ys[int(np.argmax(np.abs(analytic - numeric)))],
+                xs[worst],
+                ys[worst],
                 message=(
                     f"analytic d/d{which} of kernel {kernel.id!r} disagrees with "
                     f"finite differences by {err:.3e} (tolerance "
@@ -455,13 +450,9 @@ def discretize(kernel: Kernel, grid: Grid) -> OperatorMatrix:
     Diagonal kernels bypass quadrature entirely (the delta sifts): they
     produce plain diagonal matrices with no weights.
     """
-    if kernel.diagonal is not None:
-        kind, payload = kernel.diagonal
-        if kind == "dilation":
-            entries = payload * np.eye(grid.n)
-        else:
-            entries = np.diag(np.asarray(payload(grid.nodes), dtype=float))
-        return OperatorMatrix(entries, grid)
+    if kernel.factor is not None:
+        factor = np.asarray(kernel.factor(grid.nodes), dtype=float)
+        return OperatorMatrix(np.diag(factor), grid)
 
     cols = column_nodes(kernel, grid)
     _self_check(kernel, (grid.lo, grid.hi), (float(cols.min()), float(cols.max())))
@@ -500,7 +491,7 @@ def apply(
     (the quadrature always runs over ``f.grid``).
     """
     grid = f.grid
-    if kernel.diagonal is not None:
+    if kernel.factor is not None:
         if out_nodes is not None:
             raise DomainError("diagonal kernels evaluate on the grid nodes only")
         if f.singular or f.jumps:
@@ -508,11 +499,8 @@ def apply(
                 "diagonal kernels map smooth samples only; singular terms have "
                 "no smooth image under a delta kernel"
             )
-        kind, payload = kernel.diagonal
         smooth = f.smooth if f.smooth is not None else np.zeros(grid.n)
-        if kind == "dilation":
-            return payload * smooth
-        return np.asarray(payload(grid.nodes), dtype=float) * smooth
+        return np.asarray(kernel.factor(grid.nodes), dtype=float) * smooth
 
     x = grid.nodes if out_nodes is None else np.asarray(out_nodes, dtype=float)
     dtype = complex if kernel.is_complex else float
@@ -587,13 +575,6 @@ class ResidualField:
     values: np.ndarray
 
 
-def _as_coefficient(c) -> Callable:
-    if callable(c):
-        return c
-    value = complex(c) if isinstance(c, complex) else float(c)
-    return lambda t: np.full(np.shape(t), value) if np.ndim(t) else value
-
-
 def _coefficient_derivative(fn, order: int, db=None) -> Callable:
     """order-th derivative of a scalar coefficient: supplied analytically
     via ``db`` (db[j] = (j+1)-th derivative) or by centered differences."""
@@ -601,20 +582,7 @@ def _coefficient_derivative(fn, order: int, db=None) -> Callable:
         return _as_coefficient(fn)
     if db is not None and len(db) >= order:
         return _as_coefficient(db[order - 1])
-
-    from .grid import fd_weights
-
-    p = order + 4 if (order + 4) % 2 == 1 else order + 5
-    h = np.finfo(float).eps ** (1.0 / (order + 4))
-    offsets = (np.arange(p) - p // 2) * h
-    w = fd_weights(offsets, 0.0, order)
-    base = _as_coefficient(fn)
-
-    def deriv(t):
-        t = np.asarray(t, dtype=float)
-        return sum(wk * np.asarray(base(t + dk)) for wk, dk in zip(w, offsets))
-
-    return deriv
+    return _fd_derivative(_as_coefficient(fn), order)
 
 
 def _fd_interior(grid: Grid, order: int) -> np.ndarray:
@@ -653,7 +621,7 @@ def kernel_pde_residual(
     n, m = int(n), int(m)
     if n < 0 or m < 0:
         raise DomainError("derivative orders must be nonnegative")
-    if kernel.diagonal is not None:
+    if kernel.factor is not None:
         raise DomainError("diagonal kernels have no pointwise residual field")
     yg = grid if y_grid is None else y_grid
     x = grid.nodes
@@ -665,7 +633,7 @@ def kernel_pde_residual(
     y_mask = np.ones(yg.n, dtype=bool)
 
     # ---- a(x) * d^n w / dx^n
-    if kernel.has_analytic_x(n):
+    if kernel._analytic("x", n):
         dxn = kernel.partial_x(x[:, None], y[None, :], n)
     else:
         if n > 4:
@@ -681,7 +649,7 @@ def kernel_pde_residual(
     # ---- (-1)^n * d^m (w b) / dy^m
     if m == 0:
         rhs = kernel.eval(x[:, None], y[None, :]) * np.asarray(b_fn(y))[None, :]
-    elif kernel.has_analytic_y(m):
+    elif kernel._analytic("y", m):
         rhs = np.zeros_like(lhs)
         for i in range(m + 1):
             bi = _coefficient_derivative(b_fn, m - i, db)
@@ -776,8 +744,4 @@ def table_csv(kernel: Kernel) -> str:
     if kernel.table is None:
         raise DomainError(f"kernel {kernel.id!r} carries no tabulation")
     x, y, values = kernel.table
-    lines = ["x,y,w"]
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            lines.append(f"{xi:.17g},{yj:.17g},{values[i, j]:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("x", "y", "w"), x[:, None], y[None, :], values)

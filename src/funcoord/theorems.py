@@ -50,6 +50,8 @@ from .grid import (
 from .kernels import (
     ConditionReport,
     Kernel,
+    _as_coefficient,
+    _hermite,
     apply,
     column_nodes,
     discretize,
@@ -230,7 +232,7 @@ def check_derivative_preservation(
     the span; otherwise the truncated transform is not translation-
     invariant and the statement fails for reasons unrelated to the kernel.
     """
-    if not kernel.translation:
+    if kernel.profile_n is None:
         raise PreconditionError(
             f"kernel {kernel.id!r} is not a translation kernel"
         )
@@ -302,15 +304,11 @@ def _random_bump_test(rng, grid: Grid, max_order: int) -> TestFunction:
     span = grid.hi - grid.lo
     mu = rng.uniform(grid.lo + 0.3 * span, grid.hi - 0.3 * span)
     s = rng.uniform(span / 12.0, span / 8.0)
-    from numpy.polynomial.hermite import hermval
 
     def deriv(q):
-        coefs = np.zeros(q + 1)
-        coefs[q] = 1.0
-
         def fn(x):
             t = (np.asarray(x) - mu) / s
-            return (-1.0 / s) ** q * hermval(t, coefs) * np.exp(-(t**2))
+            return (-1.0 / s) ** q * _hermite(q, t) * np.exp(-(t**2))
 
         return fn
 
@@ -515,13 +513,13 @@ def check_product_preservation(
     asserted to drop below 0.9 at bandwidth 2 (a calibrated artifact
     constant, not a derived value).
     """
-    a_fn = a if callable(a) else (lambda t, _c=float(a): np.full(np.shape(t), _c))
+    a_fn = _as_coefficient(a)
     a_vals = np.asarray(a_fn(grid.nodes), dtype=float) * np.ones(grid.n)
     W = discretize(kernel, grid)
 
     a_scale = float(np.max(np.abs(a_vals))) or 1.0
     constant_a = float(np.max(a_vals) - np.min(a_vals)) <= 1.0e-13 * a_scale
-    trivial = constant_a or kernel.diagonal is not None
+    trivial = constant_a or kernel.factor is not None
 
     tol = _tolerances(
         {
@@ -536,8 +534,7 @@ def check_product_preservation(
     if trivial:
         # candidate B = diag(a) on the source side; verified by the
         # intertwining residual, then scored directly.
-        cols = column_nodes(kernel, grid) if kernel.diagonal is None else grid.nodes
-        b_vals = np.asarray(a_fn(cols), dtype=float) * np.ones(grid.n)
+        b_vals = np.asarray(a_fn(column_nodes(kernel, grid)), dtype=float) * np.ones(grid.n)
         residual = float(
             np.max(np.abs(a_vals[:, None] * W.entries - W.entries * b_vals[None, :]))
         )
@@ -603,11 +600,10 @@ def check_xdx_intertwine(
     )
     y_grid = make_uniform_grid(-1.0, 1.0, grid.n, periodic=False)
     a = lambda x: np.asarray(x)
-    zero = lambda y: np.zeros(np.shape(y))
     results = {}
     for sign in (-1, +1):
         _, max_norm = kernel_pde_residual(
-            exp_exp(sign), 1, 1, a, 1.0, grid, y_grid=y_grid, db=(zero,)
+            exp_exp(sign), 1, 1, a, 1.0, grid, y_grid=y_grid, db=(_as_coefficient(0.0),)
         )
         results[sign] = max_norm
     notes = (
@@ -657,20 +653,18 @@ def check_nonlinear_tensor(
         tolerances,
     )
     D = diff_matrix(grid, 1).entries
-
-    if kernel.diagonal is not None:
-        kind, payload = kernel.diagonal
-        if kind != "dilation":
+    phi = np.real(apply(kernel, GeneralizedFunction(grid, smooth=phi_tilde)))
+    lhs = (D @ phi) ** 2
+    if kernel.factor is not None:
+        # a diagonal kernel's tensor is c^2 times the square, for constant c
+        c = np.asarray(kernel.factor(grid.nodes), dtype=float)
+        if np.any(c != c.flat[0]):
             raise DomainError(
-                "among diagonal kernels only dilation supports the tensor check"
+                "among diagonal kernels only a constant factor (dilation) "
+                "supports the tensor check"
             )
-        phi = payload * phi_tilde
-        lhs = (D @ phi) ** 2
-        rhs = (payload * (D @ phi_tilde)) ** 2
+        rhs = (c * (D @ phi_tilde)) ** 2
     else:
-        gf = GeneralizedFunction(grid, smooth=phi_tilde)
-        phi = np.real(apply(kernel, gf))
-        lhs = (D @ phi) ** 2
         dxw = kernel_table(kernel, grid.nodes, grid, dx_order=1)
         transformed = np.real(dxw * grid.weights[None, :]) @ phi_tilde
         rhs = transformed**2

@@ -136,6 +136,23 @@ def test_transform_bad_json_is_config_error(tmp_path):
     assert run(["transform", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_transform_kernel_overflow_is_numerical_failure(tmp_path, capsys):
+    # e^{x e^y} overflows on [-6, 6]^2: the smooth part's kernel table is
+    # not finite, a numerical failure rather than a configuration error
+    x = np.linspace(-6, 6, 16)
+    gf = make_gf_json(tmp_path, "smooth.json", {
+        "smooth": list(np.exp(-x**2)), "jumps": [], "singular": [],
+        "grid": {"lo": -6.0, "hi": 6.0, "n": 16, "periodic": False},
+    })
+    with np.errstate(over="ignore"):
+        code = run(["transform", "--input", gf, "--kernel", "exp_exp_plus",
+                    "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "is not finite at (x, y) = (" in err
+    assert "np.float64" not in err
+
+
 def test_transform_missing_file_is_io_error(tmp_path):
     assert run(["transform", "--input", str(tmp_path / "absent.json"),
                 "--out", str(tmp_path / "o")]) == 3
@@ -194,13 +211,23 @@ def test_csv_round_trip_is_byte_identical(tmp_path):
     })
     out = tmp_path / "tr"
     assert run(["transform", "--input", gf, "--kernel", "gaussian", "--out", str(out)]) == 0
-    path = out / "transform.csv"
-    first = path.read_text()
-    header, rows = read_csv(path)
-    re_emitted = ",".join(header) + "\n" + "\n".join(
-        ",".join(format(v, ".17g") for v in row) for row in rows
-    ) + "\n"
-    assert re_emitted == first
+    # a complex 2-D field and the tabulated Riccati kernel
+    assert run(["residual", "1", "0", "--kernel", "fourier", "--a", "1", "--b=-iy",
+                "--lo", "0", "--hi", "6.283185307179586", "--n", "16", "--periodic",
+                "--out", str(tmp_path / "res")]) == 0
+    assert run(["verify", "--suite", "riccati", "--n", "16", "--out", str(tmp_path / "r")]) == 0
+    for path, expected_header in [
+        (out / "transform.csv", ["x", "value"]),
+        (tmp_path / "res" / "residual.csv", ["x", "y", "re", "im"]),
+        (tmp_path / "r" / "riccati_table.csv", ["x", "y", "w"]),
+    ]:
+        first = path.read_text()
+        header, rows = read_csv(path)
+        assert header == expected_header
+        re_emitted = ",".join(header) + "\n" + "\n".join(
+            ",".join(format(v, ".17g") for v in row) for row in rows
+        ) + "\n"
+        assert re_emitted == first
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -69,13 +69,41 @@ def test_diagonal_kernel_never_evaluates_pointwise():
         k.partial_y(0.0, 0.0, 0)
 
 
+def test_dilation_equals_multiplication_by_the_constant(wide_grid):
+    c = -2.0
+    scaled = dilation(c)
+    constant = multiplication(lambda t: np.full(np.shape(t), c))
+    assert np.array_equal(
+        discretize(scaled, wide_grid).entries, discretize(constant, wide_grid).entries
+    )
+    f = GeneralizedFunction(wide_grid, smooth=np.sin(wide_grid.nodes))
+    assert np.array_equal(apply(scaled, f), apply(constant, f))
+    with_delta = GeneralizedFunction(wide_grid, singular=[(0.0, 0, 1.0)])
+    for k in (scaled, constant):
+        with pytest.raises(UnsupportedOrderError):
+            apply(k, with_delta)
+
+
+def test_exp_family_second_x_partial_beyond_its_reach():
+    # w = (1 + y^2) e^{-sin(x) y}; only the first x-partial is analytic
+    k = exp_family(
+        lambda y: 1.0 + np.asarray(y) ** 2, np.sin, lambda y: np.asarray(y), dc=np.cos
+    )
+    x = np.linspace(-1.0, 1.0, 9)
+    y = np.linspace(-1.0, 1.0, 9)[::-1]
+    w = k.eval(x, y)
+    expected = (np.sin(x) * y + (np.cos(x) * y) ** 2) * w
+    assert np.max(np.abs(k.partial_x(x, y, 2) - expected)) < 1e-6
+    assert np.max(np.abs(k.partial_x(x, y, 1) + np.cos(x) * y * w)) < 1e-14
+
+
 def test_self_check_catches_wrong_derivative(wide_grid):
     base = gaussian()
     broken = Kernel(
         id="broken",
         eval=base.eval,
-        dx=lambda x, y: -base.dx(x, y),  # wrong sign
-        dy=base.dy,
+        dx_n=lambda x, y, q: -base.dx_n(x, y, q),  # wrong sign
+        dy_n=base.dy_n,
     )
     with pytest.raises(KernelEvaluationError):
         discretize(broken, wide_grid)
