@@ -422,11 +422,11 @@ def _self_check(kernel: Kernel, x_range, y_range) -> None:
     rng = np.random.default_rng(_SELF_CHECK_SEED)
     xs = rng.uniform(*x_range, _SELF_CHECK_POINTS)
     ys = rng.uniform(*y_range, _SELF_CHECK_POINTS)
-    for which in ("x", "y"):
-        if not kernel._analytic(which, 1):
+    for axis in ("x", "y"):
+        if not kernel._analytic(axis, 1):
             continue
-        analytic = kernel._partial(which, xs, ys, 1)
-        numeric = kernel._fd_partial(which, xs, ys, 1)
+        analytic = kernel._partial(axis, xs, ys, 1)
+        numeric = kernel._fd_partial(axis, xs, ys, 1)
         scale = 1.0 + float(np.max(np.abs(analytic)))
         err = float(np.max(np.abs(analytic - numeric)))
         if not err <= _SELF_CHECK_TOL * scale:
@@ -436,7 +436,7 @@ def _self_check(kernel: Kernel, x_range, y_range) -> None:
                 xs[worst],
                 ys[worst],
                 message=(
-                    f"analytic d/d{which} of kernel {kernel.id!r} disagrees with "
+                    f"analytic d/d{axis} of kernel {kernel.id!r} disagrees with "
                     f"finite differences by {err:.3e} (tolerance "
                     f"{_SELF_CHECK_TOL * scale:.3e})"
                 ),
