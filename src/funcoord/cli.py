@@ -31,6 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -202,6 +203,8 @@ class RunConfig:
     b: str = "1"
 
     def validate(self) -> "RunConfig":
+        for key, hint in get_type_hints(RunConfig).items():
+            _check_type(key, getattr(self, key), hint)
         if self.n is not None and self.n < 8:
             raise ConfigError(f"n must be >= 8, got {self.n}")
         if self.lo is not None and self.hi is not None and not self.hi > self.lo:
@@ -209,7 +212,7 @@ class RunConfig:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         kid = self.kernel.get("id")
-        if kid not in KERNELS:
+        if not isinstance(kid, str) or kid not in KERNELS:
             raise ConfigError(f"unknown kernel {kid!r}; registry: {sorted(KERNELS)}")
         suites = []
         for s in self.suites:
@@ -223,7 +226,7 @@ class RunConfig:
         seen = set()
         self.suites = [s for s in suites if not (s in seen or seen.add(s))]
         for key, value in self.tolerances.items():
-            if not isinstance(value, (int, float)) or not value > 0:
+            if not value > 0:
                 raise ConfigError(f"tolerance override {key!r} must be positive")
         for fmt in self.formats:
             if fmt not in ("csv", "json"):
@@ -253,6 +256,29 @@ class RunConfig:
             for key, value in self.tolerances.items()
             if key.startswith(prefix)
         }
+
+
+def _check_type(key: str, value, hint) -> None:
+    """Raise :class:`ConfigError` unless a config value read from JSON fits
+    its field's annotation: ``Optional`` admits None, a bool is no number,
+    an int passes as a float, and list items and dict values are checked
+    against their own annotations."""
+    args = get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return
+        hint = args[0]
+        args = get_args(hint)
+    kind = get_origin(hint) or hint
+    if isinstance(value, bool):
+        ok = kind is bool
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        raise ConfigError(f"config value {key!r} must be {kind.__name__}, got {value!r}")
+    if args and kind in (list, dict):
+        for item in value if kind is list else value.values():
+            _check_type(key, item, args[-1])
 
 
 def _load_config(path: Optional[str]) -> dict:

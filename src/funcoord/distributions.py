@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, UnsupportedOrderError
 from .grid import Grid, diff_matrix, make_uniform_grid
@@ -297,6 +296,8 @@ class TestFunction:
     def derivative_at(self, q: int, x0: float) -> float:
         if q not in self.derivatives:
             raise DomainError(f"test function lacks derivative order {q}")
+        from scipy.interpolate import CubicSpline
+
         nodes = self.grid.nodes
         samples = self.derivatives[q]
         if self.grid.periodic:

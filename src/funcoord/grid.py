@@ -272,22 +272,28 @@ def _fd_diff(grid: Grid, q: int) -> np.ndarray:
     points so the boundary closure does not degrade the interior order.
     The diagonal is corrected to enforce exact zero row sums (constants
     differentiate to exactly zero).
+
+    On a uniform grid a row's weights depend only on where the row's node
+    sits in its window, so the 2 * radius + 1 distinct stencils are
+    computed once, on offsets ``h * k`` from the node.
     """
     n = grid.n
-    x = grid.nodes
     radius = 2 if q <= 2 else 3
     p_boundary = q + 5
     if p_boundary > n:
         raise DomainError(f"grid too small for derivative order {q}")
+
+    def stencil(size: int, at: int) -> np.ndarray:
+        return fd_weights(grid.spacing * (np.arange(size) - at), 0.0, q)
+
     d = np.zeros((n, n))
-    for i in range(n):
-        if radius <= i <= n - 1 - radius:
-            window = slice(i - radius, i + radius + 1)
-        elif i < radius:
-            window = slice(0, p_boundary)
-        else:
-            window = slice(n - p_boundary, n)
-        d[i, window] = fd_weights(x[window], x[i], q)
+    rows = np.arange(radius, n - radius)
+    d[rows[:, None], rows[:, None] + np.arange(-radius, radius + 1)] = stencil(
+        2 * radius + 1, radius
+    )
+    for i in range(radius):
+        d[i, :p_boundary] = stencil(p_boundary, i)
+        d[n - 1 - i, n - p_boundary :] = stencil(p_boundary, p_boundary - 1 - i)
     # zero row sums: exact derivative of constants
     d[np.arange(n), np.arange(n)] -= d.sum(axis=1)
     return d

@@ -22,6 +22,12 @@ to a declared reach (``dx_order``/``dy_order``), and from finite
 differences of ``eval`` beyond it. Translation kernels carry their profile
 (``profile_n``); diagonal kernels carry only their ``factor``.
 
+Application integrates the declared jumps of a generalized function
+exactly: in closed form for the Gaussian (repeated erfc integrals, which
+its profile gives at negative orders) and by adaptive quadrature for every
+other kernel. scipy is imported only where that quadrature or an
+off-node interpolation runs.
+
 Inversion is always regularized (truncated SVD); deconvolution against a
 smoothing kernel is ill-posed, and the verification suites prefer residual
 formulations (``A W = W B``) over explicit inverses wherever a candidate
@@ -41,8 +47,6 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.interpolate import RectBivariateSpline
 
 from .distributions import GeneralizedFunction
 from .errors import (
@@ -79,6 +83,8 @@ _SELF_CHECK_SEED = 20240811
 _SELF_CHECK_POINTS = 100
 _SELF_CHECK_TOL = 1.0e-6
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -111,7 +117,9 @@ class Kernel:
 
     ``profile_n(t, q)`` marks a translation kernel ``f(x - y)``: it is the
     ``q``-th derivative of ``f``, used to periodize the kernel on periodic
-    grids. ``factor`` marks a diagonal kernel ``factor(x) delta(x - y)``
+    grids; a profile may also accept ``q < 0`` as the ``-q``-fold
+    antiderivative from ``-inf`` and raises :class:`UnsupportedOrderError`
+    otherwise. ``factor`` marks a diagonal kernel ``factor(x) delta(x - y)``
     (``multiplication``; ``dilation`` is a constant factor). It has no
     pointwise values: discretization and application multiply by the
     factor, and every pointwise access raises :class:`DomainError`.
@@ -231,6 +239,11 @@ def gaussian() -> Kernel:
 
     All partial derivatives are analytic via Hermite polynomials:
     ``d^q/dy^q e^{-t^2} = H_q(t) e^{-t^2}`` with ``t = x - y``.
+
+    The profile also takes negative orders: ``profile(t, -m)`` is the
+    m-fold antiderivative ``int_{-inf}^t e^{-s^2} (t-s)^(m-1)/(m-1)! ds``,
+    the repeated erfc integral ``(sqrt(pi)/2) i^(m-1)erfc(-t)``
+    (Abramowitz & Stegun 7.2). :func:`apply` uses it for jumps.
     """
     w = lambda x, y: np.exp(-((np.asarray(x) - np.asarray(y)) ** 2))
 
@@ -238,6 +251,13 @@ def gaussian() -> Kernel:
         t = np.asarray(t, dtype=float)
         if q == 0:
             return np.exp(-(t**2))
+        if q < 0:
+            # P_k = (t P_{k-1} + P_{k-2} / 2) / k from P_{-1} = e^{-t^2}
+            # and P_0 = (sqrt(pi)/2) erfc(-t), where P_k = profile(t, -(k+1))
+            before, value = np.exp(-(t**2)), math.sqrt(math.pi) / 2.0 * _erfc(-t)
+            for k in range(1, -q):
+                before, value = value, (t * value + before / 2.0) / k
+            return value
         return (-1.0) ** q * _hermite(q, t) * np.exp(-(t**2))
 
     def dxn(x, y, q):
@@ -276,6 +296,10 @@ def translation_family(
         t = np.asarray(t, dtype=float)
         if q == 0:
             return f(t)
+        if q < 0:
+            raise UnsupportedOrderError(
+                f"translation profile carries no antiderivatives (order {q})"
+            )
         if q > reach:
             raise UnsupportedOrderError(
                 f"translation profile carries derivatives up to order {reach}"
@@ -463,6 +487,14 @@ def discretize(kernel: Kernel, grid: Grid) -> OperatorMatrix:
     return OperatorMatrix(values * grid.weights[None, :], grid)
 
 
+def quad(fn, lo, hi, **options):
+    """scipy's adaptive ``quad``, imported on first use so that importing
+    funcoord does not load scipy."""
+    from scipy.integrate import quad as adaptive_quad
+
+    return adaptive_quad(fn, lo, hi, **options)
+
+
 def _quad(fn, lo, hi, complex_valued):
     if complex_valued:
         re, _ = quad(lambda t: fn(t).real, lo, hi, limit=200)
@@ -470,6 +502,29 @@ def _quad(fn, lo, hi, complex_valued):
         return re + 1j * im
     val, _ = quad(fn, lo, hi, limit=200)
     return val
+
+
+def _jump_image(kernel: Kernel, x: np.ndarray, x0: float, order: int, hi: float):
+    """``int_{x0} w(x, t) (t - x0)^order / order! dt`` at each of ``x``,
+    to +infinity for kernels with integrable tails and to ``hi`` otherwise.
+
+    For a translation kernel ``f(x - t)`` integrated to +infinity this is,
+    by Cauchy's formula for repeated integration, the (order+1)-fold
+    antiderivative of ``f`` at ``x - x0``: the profile at a negative order,
+    where the profile supports one. Otherwise one adaptive quadrature runs
+    per point.
+    """
+    if kernel.tail_integrable and kernel.profile_n is not None:
+        try:
+            return kernel.profile_n(x - x0, -(order + 1))
+        except UnsupportedOrderError:
+            pass
+    upper = np.inf if kernel.tail_integrable else hi
+    fact = math.factorial(order)
+    return np.array([
+        _quad(lambda t: kernel.eval(xi, t) * (t - x0) ** order / fact, x0, upper, kernel.is_complex)
+        for xi in x
+    ])
 
 
 def apply(
@@ -482,9 +537,11 @@ def apply(
     * the continuous remainder of the smooth part (declared jump structure
       subtracted) goes through the Nystrom matrix;
     * each declared jump ``(x0, k, h)`` contributes the exact integral
-      ``h * int_{x0} w(x, y) (y - x0)^k / k! dy`` by adaptive quadrature
-      (extended to +infinity for kernels with integrable tails, truncated
-      at ``grid.hi`` otherwise);
+      ``h * int_{x0} w(x, y) (y - x0)^k / k! dy`` (extended to +infinity
+      for kernels with integrable tails, truncated at ``grid.hi``
+      otherwise): in closed form for the Gaussian, whose profile has
+      repeated erfc integrals as antiderivatives, and by adaptive
+      quadrature for every other kernel;
     * each delta term contributes ``a * (-1)^q * d^q/dy^q w(x, x0)``.
 
     ``out_nodes`` selects evaluation points other than the grid nodes
@@ -515,15 +572,7 @@ def apply(
         result = result + matrix @ remainder
 
     for x0, order, height in f.jumps:
-        upper = np.inf if kernel.tail_integrable else grid.hi
-        fact = math.factorial(order)
-        for i, xi in enumerate(x):
-            result[i] += height * _quad(
-                lambda t: kernel.eval(xi, t) * (t - x0) ** order / fact,
-                x0,
-                upper,
-                kernel.is_complex,
-            )
+        result = result + height * _jump_image(kernel, x, x0, order, grid.hi)
 
     for t in f.singular:
         result = result + t.a * (-1.0) ** t.q * kernel.partial_y(x, t.x0, t.q)
@@ -688,9 +737,11 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
 
     integrated per column by the classical 4th-order Runge-Kutta method,
     with ``f`` recovered by cumulative trapezoid quadrature (``f(lo,.) = 0``).
-    The result is tabulated on the grid rectangle with bicubic interpolation
-    between nodes. Raises :class:`RiccatiBlowupError` if ``|g|`` exceeds
-    1e6, reporting the blow-up location.
+    The result is tabulated on the grid rectangle: the kernel returns the
+    table at tabulation nodes and interpolates bicubically between them
+    (the spline is built on the first off-node call). Raises
+    :class:`RiccatiBlowupError` if ``|g|`` exceeds 1e6, reporting the
+    blow-up location.
     """
     a_fn = _as_coefficient(a)
     b_fn = _as_coefficient(b)
@@ -722,17 +773,29 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
             raise RiccatiBlowupError(float(x[i + 1]), float(y[bad]), float(g[bad]))
         slopes[i + 1] = g
 
-    exponent = cumulative_trapezoid(slopes, x, axis=0, initial=0.0)
+    # cumulative trapezoid rule, in scipy's cumulative_trapezoid's arithmetic
+    exponent = np.zeros_like(slopes)
+    exponent[1:] = np.cumsum(np.diff(x)[:, None] * (slopes[1:] + slopes[:-1]) / 2.0, axis=0)
     values = np.exp(exponent)
     if not np.all(np.isfinite(values)):
         i, j = np.argwhere(~np.isfinite(values))[0]
         raise KernelEvaluationError("riccati", x[i], y[j])
 
-    spline = RectBivariateSpline(x, y, values, kx=3, ky=3)
+    spline = None
 
     def w(xv, yv):
+        nonlocal spline
         xb, yb = np.broadcast_arrays(np.asarray(xv, dtype=float), np.asarray(yv, dtype=float))
-        out = spline.ev(xb.ravel(), yb.ravel()).reshape(xb.shape)
+        i = np.minimum(np.searchsorted(x, xb), grid.n - 1)
+        j = np.minimum(np.searchsorted(y, yb), grid.n - 1)
+        if np.array_equal(x[i], xb) and np.array_equal(y[j], yb):
+            out = values[i, j]
+        else:
+            if spline is None:
+                from scipy.interpolate import RectBivariateSpline
+
+                spline = RectBivariateSpline(x, y, values, kx=3, ky=3)
+            out = spline.ev(xb.ravel(), yb.ravel()).reshape(xb.shape)
         return out if out.shape else float(out)
 
     return Kernel(id="riccati", eval=w, table=(x, y, values))

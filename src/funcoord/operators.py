@@ -46,7 +46,7 @@ Coefficient = Union[float, Callable]
 class LocalOperator:
     """Differential operator ``sum_q a_q(x) d^q/dx^q``.
 
-    ``terms`` maps derivative orders to coefficient functions of x
+    ``terms`` maps derivative orders to real coefficient functions of x
     (constants allowed). At most one term per order; order <= 4.
     """
 
@@ -79,10 +79,14 @@ class LocalOperator:
 
 def to_matrix(op: LocalOperator, grid: Grid) -> OperatorMatrix:
     """Assemble ``sum_q diag(a_q(x_i)) D_q`` on the grid (q = 0 is plain
-    multiplication by ``a_0``)."""
+    multiplication by ``a_0``). Coefficients must be real: a complex one
+    raises :class:`DomainError`."""
     total = np.zeros((grid.n, grid.n))
     for q, a in op.terms:
-        coeff = np.asarray(_as_coefficient(a)(grid.nodes), dtype=float) * np.ones(grid.n)
+        values = np.asarray(_as_coefficient(a)(grid.nodes))
+        if np.iscomplexobj(values):
+            raise DomainError(f"coefficient of order {q} is complex; local operators are real")
+        coeff = np.asarray(values, dtype=float) * np.ones(grid.n)
         if q == 0:
             total += np.diag(coeff)
         else:

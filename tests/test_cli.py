@@ -2,8 +2,13 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.special import erf
 
 from funcoord.cli import main
@@ -244,3 +249,38 @@ def test_unknown_config_field_rejected(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"grid_size": 16}))
     assert run(["verify", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": "64"}, {"threshold": "x"}, {"n": True}, {"seed": 1.5},
+    {"periodic": "yes"}, {"suites": "fourier"}, {"formats": ["csv", 1]},
+    {"tolerances": {"fourier.intertwine_max": True}},
+])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert run(["verify", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert repr(next(iter(doc))) in capsys.readouterr().err
+
+
+def test_verify_never_imports_scipy(tmp_path):
+    # scipy is loaded only by quadrature off the Gaussian and by off-node
+    # interpolation, which no default suite needs
+    script = (
+        "import sys\n"
+        "import funcoord.cli\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'import'\n"
+        "code = funcoord.cli.main(sys.argv[1:])\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'verify'\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--suite", "all", "--seed", "7",
+         "--out", str(tmp_path / "all")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Kernel catalog, discretization, application, inversion, residuals."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -137,6 +139,35 @@ def test_apply_gaussian_to_step_gives_erf(wide_grid):
     out = apply(gaussian(), f)
     target = (np.sqrt(np.pi) / 2) * (1 + erf(x))
     assert np.max(np.abs(out - target)) < 1e-7
+    # far right of a step left of the centre, where adaptive quadrature over
+    # [x0, inf) misses the exact value by 4.2e-5
+    x0, xi = -1.1167562286272599, 5.929653150952614
+    f = GeneralizedFunction(wide_grid, smooth=np.where(x > x0, 1.0, 0.0), jumps=[(x0, 1.0)])
+    value = apply(gaussian(), f, out_nodes=[xi])[0]
+    assert abs(value - np.sqrt(np.pi) / 2 * math.erfc(x0 - xi)) < 1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_apply_gaussian_to_ramp_jumps(wide_grid, order):
+    # H(t) t^k / k! at x0 maps to int_0^inf e^{-(d-s)^2} s^k / k! ds with
+    # d = x - x0, integrated by parts into erf and exp terms
+    x0 = -1.1167562286272599
+    x = np.append(wide_grid.nodes, 5.929653150952614)
+    d = x - x0
+    half = (np.sqrt(np.pi) / 2) * (1 + erf(d))
+    gauss = np.exp(-(d**2))
+    target = d * half + gauss / 2 if order == 1 else (2 * d**2 + 1) / 4 * half + d * gauss / 4
+    smooth = np.maximum(wide_grid.nodes - x0, 0.0) ** order / math.factorial(order)
+    f = GeneralizedFunction(wide_grid, smooth=smooth, jumps=[(x0, order, 1.0)])
+    out = apply(gaussian(), f, out_nodes=x)
+    assert np.max(np.abs(out - target) / (1 + np.abs(target))) < 1e-12
+
+
+def test_translation_profile_rejects_negative_orders():
+    # a profile without declared antiderivatives must not index its
+    # derivative list from the end
+    with pytest.raises(UnsupportedOrderError):
+        t_gauss_kernel().profile_n(0.3, -1)
 
 
 def test_apply_is_linear(wide_grid):

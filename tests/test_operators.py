@@ -67,6 +67,13 @@ def test_to_matrix_variable_coefficient_derivative():
     assert np.max(np.abs(out - g.nodes * np.cos(g.nodes))) < 1e-9
 
 
+def test_to_matrix_rejects_complex_coefficients():
+    g = make_uniform_grid(0.0, 2 * np.pi, 16, periodic=True)
+    for a in (1j, lambda x: 1j * np.asarray(x)):
+        with pytest.raises(DomainError, match="order 1"):
+            to_matrix(LocalOperator([(0, 1.0), (1, a)]), g)
+
+
 def test_conjugate_by_identity_is_identity():
     g = make_uniform_grid(0.0, 2 * np.pi, 16, periodic=True)
     a = diff_matrix(g, 1)
