@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
@@ -55,6 +55,7 @@ from .kernels import (
 )
 from .theorems import (
     VerificationReport,
+    _tolerances,
     check_derivative_preservation,
     check_fourier_diagonalizes,
     check_nonlinear_tensor,
@@ -129,36 +130,7 @@ def _coefficient(name: str) -> NamedCoefficient:
     return COEFFICIENTS[name]
 
 
-def _kernel_gaussian(params):
-    return gaussian()
-
-
-def _kernel_fourier(params):
-    return fourier()
-
-
-def _kernel_identity(params):
-    return dilation(1.0)
-
-
-def _kernel_dilation(params):
-    return dilation(float(params.get("c", 1.0)))
-
-
-def _kernel_multiplication(params):
-    a0 = _coefficient(params.get("a0", "1"))
-    return multiplication(a0.fn)
-
-
-def _kernel_exp_exp_plus(params):
-    return exp_exp(+1)
-
-
-def _kernel_exp_exp_minus(params):
-    return exp_exp(-1)
-
-
-def _kernel_translation_tgauss(params):
+def _translation_tgauss() -> Kernel:
     # profile t*exp(-t^2) with analytic derivatives
     f = lambda t: t * np.exp(-(t**2))
     d1 = lambda t: (1.0 - 2.0 * t**2) * np.exp(-(t**2))
@@ -166,15 +138,16 @@ def _kernel_translation_tgauss(params):
     return translation_family(f, [d1, d2], tail_integrable=True, id="translation_tgauss")
 
 
-KERNELS: Dict[str, Callable] = {
-    "gaussian": _kernel_gaussian,
-    "fourier": _kernel_fourier,
-    "identity": _kernel_identity,
-    "dilation": _kernel_dilation,
-    "multiplication": _kernel_multiplication,
-    "exp_exp_plus": _kernel_exp_exp_plus,
-    "exp_exp_minus": _kernel_exp_exp_minus,
-    "translation_tgauss": _kernel_translation_tgauss,
+#: kernel id -> (factory taking the parameters as keywords, {parameter: type})
+KERNELS: Dict[str, Tuple[Callable, Dict[str, type]]] = {
+    "gaussian": (gaussian, {}),
+    "fourier": (fourier, {}),
+    "identity": (lambda: dilation(1.0), {}),
+    "dilation": (lambda c=1.0: dilation(c), {"c": float}),
+    "multiplication": (lambda a0="1": multiplication(_coefficient(a0).fn), {"a0": str}),
+    "exp_exp_plus": (lambda: exp_exp(+1), {}),
+    "exp_exp_minus": (lambda: exp_exp(-1), {}),
+    "translation_tgauss": (_translation_tgauss, {}),
 }
 
 
@@ -214,6 +187,13 @@ class RunConfig:
         kid = self.kernel.get("id")
         if not isinstance(kid, str) or kid not in KERNELS:
             raise ConfigError(f"unknown kernel {kid!r}; registry: {sorted(KERNELS)}")
+        types = KERNELS[kid][1]
+        for name in sorted(set(self.kernel) - {"id"}):
+            if name not in types:
+                raise ConfigError(
+                    f"unknown kernel parameter 'kernel.{name}'; {kid!r} takes {sorted(types)}"
+                )
+            _check_type(f"kernel.{name}", self.kernel[name], types[name])
         suites = []
         for s in self.suites:
             if s == "all":
@@ -226,6 +206,12 @@ class RunConfig:
         seen = set()
         self.suites = [s for s in suites if not (s in seen or seen.add(s))]
         for key, value in self.tolerances.items():
+            suite, dot, _ = key.partition(".")
+            if not dot or suite not in SUITES or suite == "theorem":
+                raise ConfigError(
+                    f"tolerance override {key!r} names no suite that takes overrides; "
+                    "use '<suite>.<residual>' (the theorem suite takes none)"
+                )
             if not value > 0:
                 raise ConfigError(f"tolerance override {key!r} must be positive")
         for fmt in self.formats:
@@ -237,7 +223,7 @@ class RunConfig:
 
     def make_kernel(self) -> Kernel:
         params = {k: v for k, v in self.kernel.items() if k != "id"}
-        return KERNELS[self.kernel["id"]](params)
+        return KERNELS[self.kernel["id"]][0](**params)
 
     def grid_or(self, lo: float, hi: float, n: int, periodic: bool) -> Grid:
         """Suite default grid with any user overrides applied."""
@@ -335,7 +321,7 @@ def _suite_derivative(config: RunConfig) -> List[VerificationReport]:
     return [
         check_derivative_preservation(gaussian(), grid, tolerances=tol),
         check_derivative_preservation(
-            _kernel_translation_tgauss({}), grid, tolerances=tol
+            _translation_tgauss(), grid, tolerances=tol
         ),
     ]
 
@@ -389,6 +375,7 @@ def _suite_nonlinear(config: RunConfig) -> List[VerificationReport]:
 
 
 def _suite_riccati(config: RunConfig) -> List[VerificationReport]:
+    tol = _tolerances({"kernel_equation_residual": 1.0e-6}, config.suite_tolerances("riccati"))
     grid = make_uniform_grid(0.0, 1.0, config.n or 64, periodic=False)
     y2 = COEFFICIENTS["y^2"]
     kernel = riccati_kernel(1.0, y2.fn, COEFFICIENTS["y"].fn, grid)
@@ -399,8 +386,6 @@ def _suite_riccati(config: RunConfig) -> List[VerificationReport]:
     _, max_norm = kernel_pde_residual(
         kernel, 2, 0, 1.0, y2.fn, grid, db=y2.derivs
     )
-    tol = {"kernel_equation_residual": 1.0e-6}
-    tol.update(config.suite_tolerances("riccati"))
     return [
         VerificationReport.build(
             name="riccati_second_order",
@@ -504,7 +489,7 @@ def cmd_transform(config: RunConfig, input_path: str) -> int:
         recovered = inverse.entries @ gf.smooth
         if "csv" in config.formats:
             _write_text(out / "transform_inverse.csv", csv_text(("x", "value"), x, recovered))
-        print(_dump_json(report.to_dict()), end="")
+        print(_dump_json(asdict(report)), end="")
     return EXIT_OK
 
 

@@ -285,14 +285,6 @@ class TestFunction:
         """Build from analytic callables ``fns[q]`` for each derivative order."""
         return cls(grid, {q: np.asarray(fn(grid.nodes), dtype=float) for q, fn in enumerate(fns)})
 
-    @classmethod
-    def from_samples(cls, grid: Grid, values, max_order: int) -> "TestFunction":
-        """Build by numerically differentiating ``values`` with diff_matrix."""
-        derivs = {0: np.asarray(values, dtype=float)}
-        for q in range(1, max_order + 1):
-            derivs[q] = diff_matrix(grid, 1).entries @ derivs[q - 1]
-        return cls(grid, derivs)
-
     def derivative_at(self, q: int, x0: float) -> float:
         if q not in self.derivatives:
             raise DomainError(f"test function lacks derivative order {q}")

@@ -91,7 +91,7 @@ class OperatorMatrix:
     dimension must equal ``grid.n``.
 
     ``condition`` is populated by operations that performed a regularized
-    inversion (see :func:`funcoord.kernels.invert`).
+    inversion (see :func:`funcoord.operators.conjugate`).
     """
 
     entries: np.ndarray
@@ -110,11 +110,6 @@ class OperatorMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.entries @ other.entries, self.grid or other.grid)
-        return self.entries @ np.asarray(other)
 
     def to_csv(self) -> str:
         """Entry-list CSV: ``i,j,value`` rows (``i,j,re,im`` when complex),
@@ -264,6 +259,11 @@ def _spectral_diff(grid: Grid, q: int) -> np.ndarray:
     return np.ascontiguousarray(dense.real)
 
 
+def _fd_radius(q: int) -> int:
+    """Interior stencil half-width of the order-``q`` finite-difference matrix."""
+    return 2 if q <= 2 else 3
+
+
 def _fd_diff(grid: Grid, q: int) -> np.ndarray:
     """4th-order finite-difference matrix on a non-periodic grid.
 
@@ -278,7 +278,7 @@ def _fd_diff(grid: Grid, q: int) -> np.ndarray:
     computed once, on offsets ``h * k`` from the node.
     """
     n = grid.n
-    radius = 2 if q <= 2 else 3
+    radius = _fd_radius(q)
     p_boundary = q + 5
     if p_boundary > n:
         raise DomainError(f"grid too small for derivative order {q}")

@@ -20,7 +20,10 @@ matrix-vector product. The catalog covers:
 Partials come from one any-order callable per axis (``dx_n``/``dy_n``) up
 to a declared reach (``dx_order``/``dy_order``), and from finite
 differences of ``eval`` beyond it. Translation kernels carry their profile
-(``profile_n``); diagonal kernels carry only their ``factor``.
+(``profile_n``) and derive their values and partials from it; diagonal
+kernels carry only their ``factor``. :func:`kernel_table` returns the
+Nystrom table (quadrature weights absorbed into the columns), checked for
+non-finite entries.
 
 Application integrates the declared jumps of a generalized function
 exactly: in closed form for the Gaussian (repeated erfc integrals, which
@@ -56,7 +59,7 @@ from .errors import (
     SingularTransformError,
     UnsupportedOrderError,
 )
-from .grid import Grid, OperatorMatrix, csv_text, diff_matrix, fd_weights, wavenumbers
+from .grid import Grid, OperatorMatrix, _fd_radius, csv_text, diff_matrix, fd_weights, wavenumbers
 
 __all__ = [
     "Kernel",
@@ -96,14 +99,6 @@ class ConditionReport:
     truncated: int
     rank: int
 
-    def to_dict(self) -> dict:
-        return {
-            "sigma_max": self.sigma_max,
-            "sigma_min": self.sigma_min,
-            "truncated": self.truncated,
-            "rank": self.rank,
-        }
-
 
 @dataclass
 class Kernel:
@@ -113,13 +108,14 @@ class Kernel:
     partials ``(x, y, q) -> d^q w``; their reach is bounded by
     ``dx_order``/``dy_order`` (``None`` = any order), and a missing callable
     means reach 0. Orders beyond the analytic reach fall back to centered
-    finite differences of ``eval`` unless ``fd_fallback`` is disabled.
+    finite differences of ``eval``. :func:`kernel_table` tabulates the kernel
+    with quadrature weights absorbed and checks the table is finite.
 
     ``profile_n(t, q)`` marks a translation kernel ``f(x - y)``: it is the
-    ``q``-th derivative of ``f``, used to periodize the kernel on periodic
-    grids; a profile may also accept ``q < 0`` as the ``-q``-fold
-    antiderivative from ``-inf`` and raises :class:`UnsupportedOrderError`
-    otherwise. ``factor`` marks a diagonal kernel ``factor(x) delta(x - y)``
+    ``q``-th derivative of ``f``, from which values and partials derive and
+    which periodizes the kernel on periodic grids; a profile may also accept
+    ``q < 0`` as the ``-q``-fold antiderivative from ``-inf`` and raises
+    :class:`UnsupportedOrderError` otherwise. ``factor`` marks a diagonal kernel ``factor(x) delta(x - y)``
     (``multiplication``; ``dilation`` is a constant factor). It has no
     pointwise values: discretization and application multiply by the
     factor, and every pointwise access raises :class:`DomainError`.
@@ -137,7 +133,6 @@ class Kernel:
     tail_integrable: bool = False
     frequency_columns: bool = False
     table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-    fd_fallback: bool = True
 
     # -- partial derivatives -------------------------------------------------
 
@@ -159,11 +154,6 @@ class Kernel:
             return self.eval(x, y)
         if self._analytic(axis, q):
             return (self.dx_n if axis == "x" else self.dy_n)(x, y, q)
-        if not self.fd_fallback:
-            raise UnsupportedOrderError(
-                f"kernel {self.id!r} has no analytic order-{q} {axis}-derivative "
-                "and finite-difference fallback is disabled"
-            )
         return self._fd_partial(axis, x, y, q)
 
     def _fd_partial(self, axis: str, x, y, q: int):
@@ -245,7 +235,6 @@ def gaussian() -> Kernel:
     the repeated erfc integral ``(sqrt(pi)/2) i^(m-1)erfc(-t)``
     (Abramowitz & Stegun 7.2). :func:`apply` uses it for jumps.
     """
-    w = lambda x, y: np.exp(-((np.asarray(x) - np.asarray(y)) ** 2))
 
     def profile(t, q=0):
         t = np.asarray(t, dtype=float)
@@ -260,21 +249,7 @@ def gaussian() -> Kernel:
             return value
         return (-1.0) ** q * _hermite(q, t) * np.exp(-(t**2))
 
-    def dxn(x, y, q):
-        return profile(np.asarray(x) - np.asarray(y), q)
-
-    def dyn(x, y, q):
-        t = np.asarray(x) - np.asarray(y)
-        return _hermite(q, t) * np.exp(-(t**2))
-
-    return Kernel(
-        id="gaussian",
-        eval=w,
-        dx_n=dxn,
-        dy_n=dyn,
-        profile_n=profile,
-        tail_integrable=True,
-    )
+    return _translation("gaussian", profile, None, tail_integrable=True)
 
 
 def translation_family(
@@ -289,11 +264,9 @@ def translation_family(
     analytic partials reach that order, beyond it finite differences apply.
     """
     derivatives = tuple(derivatives)
-    w = lambda x, y: f(np.asarray(x) - np.asarray(y))
     reach = len(derivatives)
 
     def profile(t, q=0):
-        t = np.asarray(t, dtype=float)
         if q == 0:
             return f(t)
         if q < 0:
@@ -304,19 +277,21 @@ def translation_family(
             raise UnsupportedOrderError(
                 f"translation profile carries derivatives up to order {reach}"
             )
-        return derivatives[q - 1](t)
+        return derivatives[q - 1](np.asarray(t, dtype=float))
 
-    def dxn(x, y, q):
-        return profile(np.asarray(x) - np.asarray(y), q)
+    return _translation(id, profile, reach, tail_integrable)
 
-    def dyn(x, y, q):
-        return (-1.0) ** q * profile(np.asarray(x) - np.asarray(y), q)
 
+def _translation(id: str, profile: Callable, reach: Optional[int], tail_integrable: bool) -> Kernel:
+    """Translation kernel ``f(x - y)`` from its profile ``profile(t, q) = f^(q)(t)``:
+    values ``profile(x - y, 0)``, x-partials ``profile(x - y, q)`` and
+    y-partials ``(-1)^q profile(x - y, q)``, analytic up to ``reach``."""
+    t = lambda x, y: np.asarray(x) - np.asarray(y)
     return Kernel(
         id=id,
-        eval=w,
-        dx_n=dxn,
-        dy_n=dyn,
+        eval=lambda x, y: profile(t(x, y), 0),
+        dx_n=lambda x, y, q: profile(t(x, y), q),
+        dy_n=lambda x, y, q: (-1.0) ** q * profile(t(x, y), q),
         dx_order=reach,
         dy_order=reach,
         profile_n=profile,
@@ -414,8 +389,9 @@ def column_nodes(kernel: Kernel, grid: Grid) -> np.ndarray:
 
 
 def kernel_table(kernel: Kernel, x_rows: np.ndarray, grid: Grid, dx_order: int = 0):
-    """Pointwise table ``d^dx_order w(x_i, y_j) / dx^dx_order`` over the
-    grid columns.
+    """Nystrom table ``d^dx_order w(x_i, y_j) / dx^dx_order * weight_j``
+    over the grid columns (quadrature weights absorbed into the columns).
+    Raises :class:`KernelEvaluationError` at its first non-finite entry.
 
     On a periodic grid a translation kernel is evaluated with the profile
     *periodized* (wrapped differences plus the two neighboring images): the
@@ -433,10 +409,21 @@ def kernel_table(kernel: Kernel, x_rows: np.ndarray, grid: Grid, dx_order: int =
         values = sum(
             kernel.profile_n(wrapped + m * span, dx_order) for m in (-1, 0, 1)
         )
-        return values
-    if dx_order == 0:
-        return kernel.eval(x_rows[:, None], cols[None, :])
-    return kernel.partial_x(x_rows[:, None], cols[None, :], dx_order)
+    elif dx_order == 0:
+        values = kernel.eval(x_rows[:, None], cols[None, :])
+    else:
+        values = kernel.partial_x(x_rows[:, None], cols[None, :], dx_order)
+    table = values * grid.weights[None, :]
+    _require_finite(kernel.id, table, x_rows, cols)
+    return table
+
+
+def _require_finite(kernel_id: str, values: np.ndarray, x, y) -> None:
+    """Raise :class:`KernelEvaluationError` at the first non-finite entry of
+    a table whose entry ``[i, j]`` belongs to the point ``(x[i], y[j])``."""
+    if not np.all(np.isfinite(values)):
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise KernelEvaluationError(kernel_id, x[i], y[j])
 
 
 def _self_check(kernel: Kernel, x_range, y_range) -> None:
@@ -480,11 +467,7 @@ def discretize(kernel: Kernel, grid: Grid) -> OperatorMatrix:
 
     cols = column_nodes(kernel, grid)
     _self_check(kernel, (grid.lo, grid.hi), (float(cols.min()), float(cols.max())))
-    values = kernel_table(kernel, grid.nodes, grid)
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise KernelEvaluationError(kernel.id, grid.nodes[i], cols[j])
-    return OperatorMatrix(values * grid.weights[None, :], grid)
+    return OperatorMatrix(kernel_table(kernel, grid.nodes, grid), grid)
 
 
 def quad(fn, lo, hi, **options):
@@ -564,12 +547,7 @@ def apply(
     result = np.zeros(x.shape, dtype=dtype)
 
     if f.smooth is not None:
-        remainder = f.smooth_remainder()
-        matrix = kernel_table(kernel, x, grid) * grid.weights[None, :]
-        if not np.all(np.isfinite(matrix)):
-            i, j = np.argwhere(~np.isfinite(matrix))[0]
-            raise KernelEvaluationError(kernel.id, x[i], column_nodes(kernel, grid)[j])
-        result = result + matrix @ remainder
+        result = result + kernel_table(kernel, x, grid) @ f.smooth_remainder()
 
     for x0, order, height in f.jumps:
         result = result + height * _jump_image(kernel, x, x0, order, grid.hi)
@@ -605,9 +583,7 @@ def invert(
         )
     # threshold cuts a descending spectrum, so the kept block is a prefix
     pinv = (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
-    out = OperatorMatrix(pinv, m.grid)
-    out.condition = report
-    return out, report
+    return OperatorMatrix(pinv, m.grid), report
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +612,10 @@ def _coefficient_derivative(fn, order: int, db=None) -> Callable:
 
 def _fd_interior(grid: Grid, order: int) -> np.ndarray:
     """Mask of nodes whose finite-difference rows use centered stencils."""
-    if grid.periodic or order == 0:
-        return np.ones(grid.n, dtype=bool)
-    radius = 2 if order <= 2 else 3
     mask = np.ones(grid.n, dtype=bool)
-    mask[:radius] = False
-    mask[grid.n - radius :] = False
+    if not grid.periodic and order:
+        radius = _fd_radius(order)
+        mask[:radius] = mask[grid.n - radius :] = False
     return mask
 
 
@@ -717,9 +691,7 @@ def kernel_pde_residual(
         y_mask &= _fd_interior(yg, m)
 
     residual = lhs - (-1.0) ** n * rhs
-    if not np.all(np.isfinite(residual)):
-        i, j = np.argwhere(~np.isfinite(residual))[0]
-        raise KernelEvaluationError(kernel.id, x[i], y[j])
+    _require_finite(kernel.id, residual, x, y)
 
     field = ResidualField(x=x[x_mask], y=y[y_mask], values=residual[np.ix_(x_mask, y_mask)])
     return field, float(np.max(np.abs(field.values)))
@@ -777,9 +749,7 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
     exponent = np.zeros_like(slopes)
     exponent[1:] = np.cumsum(np.diff(x)[:, None] * (slopes[1:] + slopes[:-1]) / 2.0, axis=0)
     values = np.exp(exponent)
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise KernelEvaluationError("riccati", x[i], y[j])
+    _require_finite("riccati", values, x, y)
 
     spline = None
 

@@ -27,7 +27,7 @@ bit-identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -112,7 +112,7 @@ class VerificationReport:
             "passed": self.passed,
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "tolerances": {k: float(v) for k, v in self.tolerances.items()},
-            "condition": None if self.condition is None else self.condition.to_dict(),
+            "condition": None if self.condition is None else asdict(self.condition),
             "notes": list(self.notes),
         }
 
@@ -665,9 +665,7 @@ def check_nonlinear_tensor(
             )
         rhs = (c * (D @ phi_tilde)) ** 2
     else:
-        dxw = kernel_table(kernel, grid.nodes, grid, dx_order=1)
-        transformed = np.real(dxw * grid.weights[None, :]) @ phi_tilde
-        rhs = transformed**2
+        rhs = (np.real(kernel_table(kernel, grid.nodes, grid, dx_order=1)) @ phi_tilde) ** 2
     tensor_residual = float(np.max(np.abs(lhs - rhs)))
 
     # rank-1 preservation: any invertible two-sided transformation of an

@@ -263,6 +263,48 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, doc):
     assert repr(next(iter(doc))) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["riccati.typo", "theorem.operator_residual", "nosuch.key"])
+def test_tolerance_override_that_no_suite_reads_is_config_error(tmp_path, capsys, key):
+    # riccati has no residual 'typo', theorem takes no overrides, and
+    # 'nosuch' names no suite: each override would otherwise be ignored
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tolerances": {key: 1.0}}))
+    code = run(["verify", "--suite", "riccati", "--suite", "theorem", "--config", str(config),
+                "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert key.split(".")[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel, name", [
+    ({"id": "dilation", "c": "x"}, "c"),
+    ({"id": "gaussian", "c": 2}, "c"),
+    ({"id": "multiplication", "a0": 1}, "a0"),
+    ({"id": "identity", "a0": "x"}, "a0"),
+])
+def test_kernel_parameter_is_checked(tmp_path, capsys, kernel, name):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kernel": kernel}))
+    gf = make_gf_json(tmp_path, "smooth.json", {
+        "smooth": [0.0] * 64, "jumps": [], "singular": [], "grid": GRID_DOC,
+    })
+    assert run(["transform", "--config", str(config), "--input", gf,
+                "--out", str(tmp_path / "o")]) == 2
+    assert f"'kernel.{name}'" in capsys.readouterr().err
+
+
+def test_dilation_kernel_takes_its_constant_from_the_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kernel": {"id": "dilation", "c": -2}}))
+    smooth = list(np.sin(np.linspace(-6, 6, 64)))
+    gf = make_gf_json(tmp_path, "smooth.json", {
+        "smooth": smooth, "jumps": [], "singular": [], "grid": GRID_DOC,
+    })
+    out = tmp_path / "tr"
+    assert run(["transform", "--config", str(config), "--input", gf, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "transform.csv")
+    assert np.array_equal(rows[:, 1], -2.0 * np.asarray(smooth))
+
+
 def test_verify_never_imports_scipy(tmp_path):
     # scipy is loaded only by quadrature off the Gaussian and by off-node
     # interpolation, which no default suite needs

@@ -1,6 +1,7 @@
 """Kernel catalog, discretization, application, inversion, residuals."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -189,12 +190,15 @@ def test_apply_diagonal_kernel_smooth_only(wide_grid):
         apply(dilation(1.0), with_delta)
 
 
-def test_apply_unsupported_delta_order_without_fallback(wide_grid):
-    k = t_gauss_kernel()
-    k.fd_fallback = False
-    f = GeneralizedFunction(wide_grid, singular=[(0.0, 3, 1.0)])
-    with pytest.raises(UnsupportedOrderError):
-        apply(k, f)
+def test_apply_delta_order_beyond_reach_uses_finite_differences(wide_grid):
+    # the profile carries derivatives to order 2, so the order-3 delta's
+    # image, (-1)^3 d^3/dy^3 f(x - y) = f^(3)(x - 0.3), comes from finite
+    # differences of the kernel values
+    f = GeneralizedFunction(wide_grid, singular=[(0.3, 3, 1.0)])
+    t = wide_grid.nodes - 0.3
+    expected = (-8.0 * t**4 + 24.0 * t**2 - 6.0) * np.exp(-(t**2))
+    out = apply(t_gauss_kernel(), f)
+    assert np.max(np.abs(out - expected)) < 1e-6 * (1.0 + np.max(np.abs(expected)))
 
 
 def test_invert_identity_no_truncation(wide_grid):
@@ -236,7 +240,7 @@ def test_dilation_inverse_matches_reciprocal_dilation(wide_grid):
 
 def test_condition_report_round_trips():
     report = invert(OperatorMatrix(np.diag([2.0, 4.0])), 1e-10)[1]
-    doc = report.to_dict()
+    doc = asdict(report)
     assert set(doc) == {"sigma_max", "sigma_min", "truncated", "rank"}
 
 
