@@ -54,6 +54,11 @@ from .kernels import (
     translation_family,
 )
 from .theorems import (
+    DERIVATIVE_TOLERANCES,
+    FOURIER_TOLERANCES,
+    NONLINEAR_TOLERANCES,
+    PRODUCT_TOLERANCES,
+    XDX_TOLERANCES,
     VerificationReport,
     _tolerances,
     check_derivative_preservation,
@@ -206,11 +211,16 @@ class RunConfig:
         seen = set()
         self.suites = [s for s in suites if not (s in seen or seen.add(s))]
         for key, value in self.tolerances.items():
-            suite, dot, _ = key.partition(".")
-            if not dot or suite not in SUITES or suite == "theorem":
+            suite, dot, residual = key.partition(".")
+            if not dot or suite not in SUITE_TOLERANCES:
                 raise ConfigError(
                     f"tolerance override {key!r} names no suite that takes overrides; "
                     "use '<suite>.<residual>' (the theorem suite takes none)"
+                )
+            if residual not in SUITE_TOLERANCES[suite]:
+                raise ConfigError(
+                    f"tolerance override {key!r} names no residual of suite {suite!r}; "
+                    f"it reports {sorted(SUITE_TOLERANCES[suite])}"
                 )
             if not value > 0:
                 raise ConfigError(f"tolerance override {key!r} must be positive")
@@ -287,6 +297,8 @@ def _load_config(path: Optional[str]) -> dict:
 
 def _resolve_config(args) -> RunConfig:
     doc = _load_config(getattr(args, "config", None))
+    if args.command == "verify" and "kernel" in doc:
+        raise ConfigError("verify does not read 'kernel': every suite builds its own kernels")
     config = RunConfig(**doc)
     for name in ("n", "lo", "hi", "out", "seed", "threshold", "a", "b"):
         if getattr(args, name, None) is not None:
@@ -374,8 +386,11 @@ def _suite_nonlinear(config: RunConfig) -> List[VerificationReport]:
     return [ident, gauss]
 
 
+RICCATI_TOLERANCES = {"kernel_equation_residual": 1.0e-6}
+
+
 def _suite_riccati(config: RunConfig) -> List[VerificationReport]:
-    tol = _tolerances({"kernel_equation_residual": 1.0e-6}, config.suite_tolerances("riccati"))
+    tol = _tolerances(RICCATI_TOLERANCES, config.suite_tolerances("riccati"))
     grid = make_uniform_grid(0.0, 1.0, config.n or 64, periodic=False)
     y2 = COEFFICIENTS["y^2"]
     kernel = riccati_kernel(1.0, y2.fn, COEFFICIENTS["y"].fn, grid)
@@ -410,6 +425,17 @@ SUITES: Dict[str, Callable] = {
 }
 
 SUITE_ORDER = ["fourier", "derivative", "theorem", "product", "xdx", "nonlinear", "riccati"]
+
+#: suite -> default tolerance per residual: the '<suite>.<residual>' keys a
+#: tolerance override may name (the theorem suite takes none)
+SUITE_TOLERANCES: Dict[str, Dict[str, float]] = {
+    "fourier": FOURIER_TOLERANCES,
+    "derivative": DERIVATIVE_TOLERANCES,
+    "product": PRODUCT_TOLERANCES,
+    "xdx": XDX_TOLERANCES,
+    "nonlinear": NONLINEAR_TOLERANCES,
+    "riccati": RICCATI_TOLERANCES,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +565,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--kernel", help="kernel id", choices=sorted(KERNELS))
         p.add_argument("--n", type=int, help="node count (>= 8)")
         p.add_argument("--lo", type=float, help="left endpoint")
         p.add_argument("--hi", type=float, help="right endpoint")
@@ -549,6 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", help="comma-separated outputs: csv,json")
 
+    # verify takes no --kernel: every suite builds its own kernels
     verify = sub.add_parser("verify", help="run verification suites")
     add_common(verify)
     verify.add_argument(
@@ -557,6 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     transform = sub.add_parser("transform", help="transform a generalized function")
     add_common(transform)
+    transform.add_argument("--kernel", help="kernel id", choices=sorted(KERNELS))
     transform.add_argument("--input", required=True, help="generalized-function JSON file")
     transform.add_argument(
         "--invert", action="store_true",
@@ -565,6 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     residual = sub.add_parser("residual", help="kernel-equation residual field")
     add_common(residual)
+    residual.add_argument("--kernel", help="kernel id", choices=sorted(KERNELS))
     # distinct dest names: --n is the grid size, these are derivative orders
     residual.add_argument("dx_order", type=int, help="x-derivative order")
     residual.add_argument("dy_order", type=int, help="y-derivative order")

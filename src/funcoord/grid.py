@@ -14,7 +14,10 @@ the verification suites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -121,23 +124,61 @@ class OperatorMatrix:
 def csv_text(names: Sequence[str], *columns) -> str:
     """CSV text of named columns with 17-significant-digit numbers, which
     round-trip exactly. The columns broadcast against each other, rows
-    follow C order, and a complex column expands to ``re,im``. Rows are
-    formatted one leading index at a time, never as whole-column lists."""
+    follow C order, and a complex column expands to ``re,im``.
+
+    The rows come in blocks, one per leading index of the broadcast table
+    (a 1-D table is one block). A column with fewer entries than the table,
+    such as ``x[:, None]`` or ``y[None, :]``, is formatted once per entry
+    and its text copied into each block's row template; the full-size
+    columns fill that template with one ``%`` call per block."""
     header, parts = [], []
-    for name, column in zip(names, np.broadcast_arrays(*columns)):
-        # one block of rows per leading index; a 1-D column is one block
-        column = column.reshape(-1, column.shape[-1])
+    for name, column in zip(names, map(np.asarray, columns)):
         if np.iscomplexobj(column):
             header += ["re", "im"]
             parts += [column.real, column.imag]
         else:
             header.append(name)
             parts.append(column)
-    row = ",".join(["%.17g"] * len(parts))
+    shape = np.broadcast_shapes(*(p.shape for p in parts))
+    size, width = math.prod(shape), shape[-1]
+    blocks = size // width
+    # per column, the cell each block puts in its row template: the
+    # placeholder, one text for every row, or one text per row
+    cells, full = [], []
+    for p in parts:
+        if p.size == size:
+            cells.append(["%.17g"] * blocks)
+            full.append(np.broadcast_to(p, shape).reshape(blocks, width))
+            continue
+        text = np.array(["%.17g" % v for v in p.ravel().tolist()], dtype=object)
+        text = np.broadcast_to(text.reshape(p.shape), shape).reshape(blocks, width)
+        cells.append(text[:, 0].tolist() if text.strides[1] == 0 else text)
     lines = [",".join(header)]
-    for i in range(parts[0].shape[0]):
-        lines.extend(row % values for values in zip(*(p[i].tolist() for p in parts)))
+    for i in range(blocks):
+        template = _block_template([c[i] for c in cells], width)
+        values = [f[i].tolist() for f in full]
+        args = values[0] if len(values) == 1 else chain.from_iterable(zip(*values))
+        lines.append(template % tuple(args))
     return "\n".join(lines) + "\n"
+
+
+def _block_template(cells: list, width: int) -> str:
+    """``width`` comma-separated rows joined by newlines. A cell is one
+    string for every row, or an array or list of one string per row."""
+    prefix, rows, pending = "", None, ""
+    for k, cell in enumerate(cells):
+        if k:
+            pending += ","
+        if isinstance(cell, str):
+            pending += cell
+        elif rows is None:
+            prefix, rows, pending = pending, cell, ""
+        else:
+            rows, pending = map(add, map(add, rows, repeat(pending)), cell), ""
+    if rows is None:
+        return "\n".join(repeat(pending, width))
+    # the text before the first and after the last per-row cell joins the rows
+    return prefix + (pending + "\n" + prefix).join(rows) + pending
 
 
 def make_uniform_grid(lo: float, hi: float, n: int, periodic: bool = False) -> Grid:

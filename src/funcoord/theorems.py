@@ -120,6 +120,20 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+#: default tolerance of each residual a check reports (the fourier check's
+#: at order 1); the keys are the residual names a tolerance override may name
+FOURIER_TOLERANCES = {"intertwine_max": 1.0e-8, "offband_defect_bw0": 1.0e-6}
+DERIVATIVE_TOLERANCES = {
+    "commutator_order1": 1.0e-6,
+    "commutator_order1_rel": 1.0e-6,
+    "commutator_order2": 1.0e-5,
+    "partials_2d": 1.0e-5,
+}
+PRODUCT_TOLERANCES = {"aomega_residual": 1.0e-10, "score_defect_bw0": 1.0e-8, "score_bw2": 0.9}
+XDX_TOLERANCES = {"minus_sign_residual": 1.0e-10, "plus_sign_exceeds_one": 0.0}
+NONLINEAR_TOLERANCES = {"tensor_residual": 1.0e-5, "rank1_gap": 1.0e-8}
+
+
 def _tolerances(defaults: dict, overrides: Optional[Mapping[str, float]]) -> dict:
     if not overrides:
         return dict(defaults)
@@ -157,13 +171,10 @@ def check_fourier_diagonalizes(
             "fourier check needs a periodic grid on [0, 2*pi) so columns "
             "match integer wavenumbers"
         )
-    tol = _tolerances(
-        {
-            "intertwine_max": 1.0e-8 if order == 1 else 1.0e-7,
-            "offband_defect_bw0": 1.0e-6,
-        },
-        tolerances,
-    )
+    defaults = dict(FOURIER_TOLERANCES)
+    if order != 1:
+        defaults["intertwine_max"] = 1.0e-7
+    tol = _tolerances(defaults, tolerances)
     from .kernels import fourier as fourier_kernel
 
     A = diff_matrix(grid, order)
@@ -238,15 +249,7 @@ def check_derivative_preservation(
         )
     if not grid.periodic:
         raise PreconditionError("derivative-preservation check needs a periodic grid")
-    tol = _tolerances(
-        {
-            "commutator_order1": 1.0e-6,
-            "commutator_order1_rel": 1.0e-6,
-            "commutator_order2": 1.0e-5,
-            "partials_2d": 1.0e-5,
-        },
-        tolerances,
-    )
+    tol = _tolerances(DERIVATIVE_TOLERANCES, tolerances)
 
     W = discretize(kernel, grid)
     tests = _bandlimited_samples(grid)
@@ -521,14 +524,7 @@ def check_product_preservation(
     constant_a = float(np.max(a_vals) - np.min(a_vals)) <= 1.0e-13 * a_scale
     trivial = constant_a or kernel.factor is not None
 
-    tol = _tolerances(
-        {
-            "aomega_residual": 1.0e-10,
-            "score_defect_bw0": 1.0e-8,
-            "score_bw2": 0.9,
-        },
-        tolerances,
-    )
+    tol = _tolerances(PRODUCT_TOLERANCES, tolerances)
 
     notes = []
     if trivial:
@@ -594,10 +590,7 @@ def check_xdx_intertwine(
     """
     if grid.lo < -1.0e-12 or grid.hi > 1.0 + 1.0e-12:
         raise PreconditionError("x-grid must lie within [0, 1]")
-    tol = _tolerances(
-        {"minus_sign_residual": 1.0e-10, "plus_sign_exceeds_one": 0.0},
-        tolerances,
-    )
+    tol = _tolerances(XDX_TOLERANCES, tolerances)
     y_grid = make_uniform_grid(-1.0, 1.0, grid.n, periodic=False)
     a = lambda x: np.asarray(x)
     results = {}
@@ -648,10 +641,7 @@ def check_nonlinear_tensor(
     the relative singular-value gap after conjugation.
     """
     phi_tilde = grid.require_samples(np.asarray(phi_tilde, dtype=float), "phi_tilde")
-    tol = _tolerances(
-        {"tensor_residual": 1.0e-5, "rank1_gap": 1.0e-8},
-        tolerances,
-    )
+    tol = _tolerances(NONLINEAR_TOLERANCES, tolerances)
     D = diff_matrix(grid, 1).entries
     phi = np.real(apply(kernel, GeneralizedFunction(grid, smooth=phi_tilde)))
     lhs = (D @ phi) ** 2

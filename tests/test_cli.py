@@ -275,6 +275,34 @@ def test_tolerance_override_that_no_suite_reads_is_config_error(tmp_path, capsys
     assert key.split(".")[-1] in capsys.readouterr().err
 
 
+def test_unknown_residual_in_tolerance_override_fails_before_any_suite_runs(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tolerances": {"nonlinear.typo": 1.0}}))
+    out = tmp_path / "o"
+    assert run(["verify", "--suite", "all", "--config", str(config), "--out", str(out)]) == 2
+    assert "'nonlinear.typo'" in capsys.readouterr().err
+    assert not list(out.glob("suite_*.json")) and not (out / "summary.json").exists()
+
+
+def test_verify_rejects_a_kernel_flag_it_would_ignore(tmp_path, capsys):
+    # every suite builds its own kernels, so verify has no --kernel to read
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", "fourier", "--kernel", "exp_exp_plus",
+             "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--kernel" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_rejects_a_configured_kernel_it_would_ignore(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kernel": {"id": "multiplication", "a0": "nope"}}))
+    assert run(["verify", "--suite", "fourier", "--config", str(config),
+                "--out", str(tmp_path / "o")]) == 2
+    assert "'kernel'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kernel, name", [
     ({"id": "dilation", "c": "x"}, "c"),
     ({"id": "gaussian", "c": 2}, "c"),

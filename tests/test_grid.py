@@ -14,7 +14,7 @@ from funcoord import (
     inner_product,
     make_uniform_grid,
 )
-from funcoord.grid import OperatorMatrix, fd_weights
+from funcoord.grid import OperatorMatrix, csv_text, fd_weights
 
 
 def test_trapezoid_grid_nodes_and_weights():
@@ -171,3 +171,50 @@ def test_operator_matrix_validation():
         OperatorMatrix(np.zeros((4, 4)), g)
     detached = OperatorMatrix(np.eye(3))
     assert detached.grid is None and detached.n == 3
+
+
+def _reference_csv(names, *columns):
+    # the plain writer: broadcast every column, then one row at a time
+    header, cells = [], []
+    for name, column in zip(names, np.broadcast_arrays(*columns)):
+        if np.iscomplexobj(column):
+            header += ["re", "im"]
+            cells += [column.real.ravel().tolist(), column.imag.ravel().tolist()]
+        else:
+            header.append(name)
+            cells.append(column.ravel().tolist())
+    rows = (",".join("%.17g" % v for v in row) for row in zip(*cells))
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+_RNG = np.random.default_rng(5)
+_X, _Y = _RNG.standard_normal(64), _RNG.standard_normal(70)
+_TABLE = _RNG.standard_normal((64, 70))
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e-300, 0.1])
+with np.errstate(invalid="ignore", over="ignore"):
+    _SPECIAL_TABLE = np.outer(_SPECIAL, _SPECIAL[::-1])
+_SPECIAL_COMPLEX = np.empty(_SPECIAL.size, dtype=complex)
+_SPECIAL_COMPLEX.real, _SPECIAL_COMPLEX.imag = _SPECIAL[::-1], _SPECIAL
+
+
+@pytest.mark.parametrize("names, columns", [
+    (("x", "value"), (_X, _TABLE[:, 0])),
+    (("x", "value"), (_X, _X + 1j * _TABLE[:, 1])),
+    (("x", "y", "w"), (_X[:, None], _Y[None, :], _TABLE)),
+    (("x", "y", "R"), (_X[:, None], _Y[None, :], _TABLE - 2j * _TABLE[::-1])),
+    (("i", "j", "value"), (np.arange(64)[:, None], np.arange(70)[None, :], _TABLE)),
+    (("x", "y", "w"), (_X[:3, None], _Y[None, :5], _TABLE[:3, :5])),
+    (("w", "x", "v"), (_TABLE, _X[:, None], 2.0 * _TABLE)),
+    (("y", "x"), (_Y[None, :], _X[:, None])),
+    (("x", "y", "w"), (_X[:, None], _Y[None, :1], _TABLE[:, :1])),
+    (("x", "y", "w"), (_SPECIAL[:, None], _SPECIAL[None, :], _SPECIAL_TABLE)),
+    (("x", "value"), (_SPECIAL, _SPECIAL_COMPLEX)),
+    (("t", "u", "v"), (_TABLE[:2, :12].reshape(2, 3, 4), _Y[:3, None], _X[:4])),
+], ids=["1d", "1d-complex", "xyw", "xyw-complex", "ij-int", "xyw-small", "full-first",
+        "no-full", "width-1", "special", "1d-special", "3d"])
+def test_csv_text_matches_row_by_row_reference(names, columns):
+    got = csv_text(names, *columns).split("\n")
+    want = _reference_csv(names, *columns).split("\n")
+    # report the first differing line, not a diff of the whole text
+    first = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert first is None and len(got) == len(want), (first, len(got), len(want))
