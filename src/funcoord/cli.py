@@ -30,7 +30,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -222,6 +222,11 @@ class RunConfig:
                     f"tolerance override {key!r} names no residual of suite {suite!r}; "
                     f"it reports {sorted(SUITE_TOLERANCES[suite])}"
                 )
+            if suite not in self.suites:
+                raise ConfigError(
+                    f"tolerance override {key!r} is for suite {suite!r}, which this run "
+                    f"does not select; it runs {self.suites}"
+                )
             if not value > 0:
                 raise ConfigError(f"tolerance override {key!r} must be positive")
         for fmt in self.formats:
@@ -395,9 +400,9 @@ def _suite_riccati(config: RunConfig) -> List[VerificationReport]:
     y2 = COEFFICIENTS["y^2"]
     kernel = riccati_kernel(1.0, y2.fn, COEFFICIENTS["y"].fn, grid)
     if "csv" in config.formats:
-        from .kernels import table_csv
+        from .kernels import table_blocks
 
-        _write_text(Path(config.out) / "riccati_table.csv", table_csv(kernel))
+        _write_text(Path(config.out) / "riccati_table.csv", table_blocks(kernel))
     _, max_norm = kernel_pde_residual(
         kernel, 2, 0, 1.0, y2.fn, grid, db=y2.derivs
     )
@@ -443,9 +448,12 @@ SUITE_TOLERANCES: Dict[str, Dict[str, float]] = {
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: Union[str, Iterable[str]]) -> None:
+    """Write one text, or an iterable of texts one at a time, so a large
+    table is never held whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _dump_json(doc) -> str:

@@ -6,19 +6,23 @@ the right endpoint and carry equal (rectangle-rule) quadrature weights,
 which are spectrally accurate for smooth periodic integrands. Non-periodic
 grids include both endpoints and carry trapezoid weights.
 
-Differentiation matrices are spectral (via the discrete Fourier transform)
-on periodic grids and 4th-order finite-difference stencils otherwise, so
-that differentiation error sits far below the transform errors probed by
-the verification suites.
+Differentiation matrices are spectral on periodic grids and 4th-order
+finite-difference stencils otherwise, so that differentiation error sits
+far below the transform errors probed by the verification suites. The
+spectral matrix is circulant: it is filled from its first column, the
+inverse DFT of the derivative symbol. Each matrix is built once per
+``(lo, hi, n, periodic, q)`` and its entries are cached read-only and
+shared by every :func:`diff_matrix` call with that key.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +38,7 @@ __all__ = [
     "wavenumbers",
     "derivative_symbol",
     "csv_text",
+    "csv_blocks",
 ]
 
 #: minimum node count accepted by make_uniform_grid
@@ -122,12 +127,19 @@ class OperatorMatrix:
 
 
 def csv_text(names: Sequence[str], *columns) -> str:
-    """CSV text of named columns with 17-significant-digit numbers, which
-    round-trip exactly. The columns broadcast against each other, rows
-    follow C order, and a complex column expands to ``re,im``.
+    """CSV text of named columns: the joined :func:`csv_blocks`."""
+    return "".join(csv_blocks(names, *columns))
 
-    The rows come in blocks, one per leading index of the broadcast table
-    (a 1-D table is one block). A column with fewer entries than the table,
+
+def csv_blocks(names: Sequence[str], *columns) -> Iterator[str]:
+    """CSV of named columns with 17-significant-digit numbers, which
+    round-trip exactly, yielded as the header line and then one text per
+    block of rows, each ending in a newline. The columns broadcast against
+    each other, rows follow C order, and a complex column expands to
+    ``re,im``.
+
+    A block holds the rows of one leading index of the broadcast table (a
+    1-D table is one block). A column with fewer entries than the table,
     such as ``x[:, None]`` or ``y[None, :]``, is formatted once per entry
     and its text copied into each block's row template; the full-size
     columns fill that template with one ``%`` call per block."""
@@ -153,13 +165,12 @@ def csv_text(names: Sequence[str], *columns) -> str:
         text = np.array(["%.17g" % v for v in p.ravel().tolist()], dtype=object)
         text = np.broadcast_to(text.reshape(p.shape), shape).reshape(blocks, width)
         cells.append(text[:, 0].tolist() if text.strides[1] == 0 else text)
-    lines = [",".join(header)]
+    yield ",".join(header) + "\n"
     for i in range(blocks):
-        template = _block_template([c[i] for c in cells], width)
+        template = _block_template([c[i] for c in cells], width) + "\n"
         values = [f[i].tolist() for f in full]
         args = values[0] if len(values) == 1 else chain.from_iterable(zip(*values))
-        lines.append(template % tuple(args))
-    return "\n".join(lines) + "\n"
+        yield template % tuple(args)
 
 
 def _block_template(cells: list, width: int) -> str:
@@ -292,12 +303,14 @@ def _spectral_diff(grid: Grid, q: int) -> np.ndarray:
     """Spectral differentiation matrix on a periodic grid.
 
     Exact on every resolved trigonometric mode (see
-    :func:`derivative_symbol` for the Nyquist convention).
+    :func:`derivative_symbol` for the Nyquist convention). The matrix is
+    circulant, ``D[i, j] = c[(i - j) mod n]`` with first column ``c``; row
+    ``i`` is the window at ``n - 1 - i`` of the reversed doubled column.
     """
     n = grid.n
-    mult = derivative_symbol(grid, q)
-    dense = np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-    return np.ascontiguousarray(dense.real)
+    c = np.fft.ifft(derivative_symbol(grid, q)).real
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((c, c))[::-1], n)
+    return np.ascontiguousarray(windows[n - 1 :: -1])
 
 
 def _fd_radius(q: int) -> int:
@@ -343,8 +356,13 @@ def _fd_diff(grid: Grid, q: int) -> np.ndarray:
 def diff_matrix(grid: Grid, q: int) -> OperatorMatrix:
     """Differentiation matrix of order ``q`` on ``grid``.
 
-    Periodic grids get spectral differentiation (exact on resolved modes);
-    non-periodic grids get 4th-order stencils, supported for ``q <= 4``.
+    Periodic grids get spectral differentiation (exact on resolved modes),
+    filled from its circulant first column; non-periodic grids get
+    4th-order stencils, supported for ``q <= 4``.
+
+    Each call returns a new :class:`OperatorMatrix`, but its entries are
+    built once per ``(lo, hi, n, periodic, q)`` and shared: they are
+    read-only, so copy them before writing.
 
     Raises
     ------
@@ -354,12 +372,19 @@ def diff_matrix(grid: Grid, q: int) -> OperatorMatrix:
     q = int(q)
     if q < 1:
         raise UnsupportedOrderError(f"derivative order must be >= 1, got {q}")
-    if grid.periodic:
-        entries = _spectral_diff(grid, q)
-    else:
-        if q > MAX_FD_ORDER:
-            raise UnsupportedOrderError(
-                f"non-periodic grids support derivative order <= {MAX_FD_ORDER}, got {q}"
-            )
-        entries = _fd_diff(grid, q)
-    return OperatorMatrix(entries, grid)
+    if not grid.periodic and q > MAX_FD_ORDER:
+        raise UnsupportedOrderError(
+            f"non-periodic grids support derivative order <= {MAX_FD_ORDER}, got {q}"
+        )
+    return OperatorMatrix(_diff_entries(grid.lo, grid.hi, grid.n, grid.periodic, q), grid)
+
+
+@functools.lru_cache(maxsize=16)
+def _diff_entries(lo: float, hi: float, n: int, periodic: bool, q: int) -> np.ndarray:
+    """Read-only entries of :func:`diff_matrix`, keyed by value because a
+    :class:`Grid` holds arrays and cannot be hashed. The bound keeps a
+    long-lived process from holding every size it ever used."""
+    grid = make_uniform_grid(lo, hi, n, periodic)
+    entries = _spectral_diff(grid, q) if periodic else _fd_diff(grid, q)
+    entries.setflags(write=False)
+    return entries

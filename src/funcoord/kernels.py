@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
@@ -59,7 +59,7 @@ from .errors import (
     SingularTransformError,
     UnsupportedOrderError,
 )
-from .grid import Grid, OperatorMatrix, _fd_radius, csv_text, diff_matrix, fd_weights, wavenumbers
+from .grid import Grid, OperatorMatrix, _fd_radius, csv_blocks, diff_matrix, fd_weights, wavenumbers
 
 __all__ = [
     "Kernel",
@@ -772,9 +772,16 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
 
 
 def table_csv(kernel: Kernel) -> str:
+    """CSV text of a tabulated kernel: the joined :func:`table_blocks`."""
+    return "".join(table_blocks(kernel))
+
+
+def table_blocks(kernel: Kernel) -> Iterator[str]:
     """CSV of a tabulated kernel as ``x,y,w`` triples (17 significant
-    digits). Raises :class:`DomainError` for kernels without a table."""
+    digits), in the blocks of :func:`funcoord.grid.csv_blocks`: the header,
+    then the rows of one ``x`` each. Raises :class:`DomainError` for
+    kernels without a table."""
     if kernel.table is None:
         raise DomainError(f"kernel {kernel.id!r} carries no tabulation")
     x, y, values = kernel.table
-    return csv_text(("x", "y", "w"), x[:, None], y[None, :], values)
+    return csv_blocks(("x", "y", "w"), x[:, None], y[None, :], values)

@@ -214,15 +214,13 @@ def check_fourier_diagonalizes(
 # ---------------------------------------------------------------------------
 
 
-def _bandlimited_samples(grid: Grid) -> list:
+def _bandlimited_samples(grid: Grid) -> np.ndarray:
+    """Three band-limited test vectors, one per column."""
     span = grid.hi - grid.lo
     x = grid.nodes
     k = 2.0 * np.pi / span
-    return [
-        np.sin(k * x),
-        np.cos(2.0 * k * x),
-        np.sin(k * x) + 0.5 * np.cos(2.0 * k * x),
-    ]
+    s1, c2 = np.sin(k * x), np.cos(2.0 * k * x)
+    return np.stack([s1, c2, s1 + 0.5 * c2], axis=1)
 
 
 def check_derivative_preservation(
@@ -251,22 +249,18 @@ def check_derivative_preservation(
         raise PreconditionError("derivative-preservation check needs a periodic grid")
     tol = _tolerances(DERIVATIVE_TOLERANCES, tolerances)
 
-    W = discretize(kernel, grid)
-    tests = _bandlimited_samples(grid)
+    # each commutator acts on the test vectors as D (W phi) - W (D phi),
+    # products with a block of three vectors, and is never formed itself
+    W = discretize(kernel, grid).entries
+    phi = _bandlimited_samples(grid)
+    w_phi = W @ phi
     res = {}
     for order in (1, 2):
         D = diff_matrix(grid, order).entries
-        comm = D @ W.entries - W.entries @ D
-        abs_res = 0.0
-        rel_res = 0.0
-        for phi in tests:
-            num = float(np.max(np.abs(comm @ phi)))
-            den = float(np.max(np.abs(W.entries @ phi)))
-            abs_res = max(abs_res, num)
-            rel_res = max(rel_res, num / den)
-        res[f"commutator_order{order}"] = abs_res
+        num = np.max(np.abs(D @ w_phi - W @ (D @ phi)), axis=0)
+        res[f"commutator_order{order}"] = float(np.max(num))
         if order == 1:
-            res["commutator_order1_rel"] = rel_res
+            res["commutator_order1_rel"] = float(np.max(num / np.max(np.abs(w_phi), axis=0)))
 
     # 2-D tensor-product variant: the product kernel f(x1-y1) f(x2-y2)
     # commutes with both partial-derivative operators.
@@ -281,10 +275,10 @@ def check_derivative_preservation(
     phi2 = np.outer(
         np.sin(k * grid2.nodes), np.cos(k * grid2.nodes)
     ).ravel()
+    w_phi2 = Wk @ phi2
     worst = 0.0
     for Dax in (np.kron(D1, eye), np.kron(eye, D1)):
-        comm = Dax @ Wk - Wk @ Dax
-        worst = max(worst, float(np.max(np.abs(comm @ phi2))))
+        worst = max(worst, float(np.max(np.abs(Dax @ w_phi2 - Wk @ (Dax @ phi2)))))
     res["partials_2d"] = worst
 
     return VerificationReport.build(

@@ -275,6 +275,15 @@ def test_tolerance_override_that_no_suite_reads_is_config_error(tmp_path, capsys
     assert key.split(".")[-1] in capsys.readouterr().err
 
 
+def test_tolerance_override_for_an_unselected_suite_fails_before_any_suite_runs(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tolerances": {"riccati.kernel_equation_residual": 1e-30}}))
+    out = tmp_path / "o"
+    assert run(["verify", "--suite", "fourier", "--config", str(config), "--out", str(out)]) == 2
+    assert "'riccati.kernel_equation_residual'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_residual_in_tolerance_override_fails_before_any_suite_runs(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"tolerances": {"nonlinear.typo": 1.0}}))

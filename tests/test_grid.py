@@ -14,7 +14,9 @@ from funcoord import (
     inner_product,
     make_uniform_grid,
 )
-from funcoord.grid import OperatorMatrix, csv_text, fd_weights
+from funcoord import grid as grid_module
+from funcoord.cli import main
+from funcoord.grid import OperatorMatrix, csv_text, derivative_symbol, fd_weights
 
 
 def test_trapezoid_grid_nodes_and_weights():
@@ -155,6 +157,54 @@ def test_diff_matrix_order_validation():
     # periodic grids differentiate to any order spectrally
     gp = make_uniform_grid(0.0, 2 * np.pi, 16, periodic=True)
     diff_matrix(gp, 6)
+
+
+@pytest.mark.parametrize("n", [8, 9, 32, 33, 64])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_circulant_spectral_build_matches_dense_fft_reference(n, q):
+    g = make_uniform_grid(-1.5, 2.0, n, periodic=True)
+    # the reference transforms every column of the identity
+    mult = derivative_symbol(g, q)
+    reference = np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+    d = diff_matrix(g, q).entries
+    assert np.max(np.abs(d - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_equal_keys_share_read_only_entries(periodic):
+    a = diff_matrix(make_uniform_grid(0.0, 1.0, 16, periodic), 2)
+    b = diff_matrix(make_uniform_grid(0.0, 1.0, 16, periodic), 2)
+    assert a is not b and a.entries is b.entries
+    with pytest.raises(ValueError):
+        a.entries[0, 0] = 1.0
+
+
+def test_distinct_keys_do_not_share_entries():
+    grids = [
+        make_uniform_grid(0.0, 1.0, 16, periodic=True),
+        make_uniform_grid(0.0, 1.0, 16, periodic=False),
+        make_uniform_grid(1.0, 2.0, 16, periodic=True),  # same span, other lo
+        make_uniform_grid(1.0, 2.0, 16, periodic=False),
+        make_uniform_grid(0.0, 2.0, 16, periodic=True),
+    ]
+    entries = [diff_matrix(g, 1).entries for g in grids]
+    assert len({id(e) for e in entries}) == len(grids)
+    for g, e in zip(grids, entries):
+        build = grid_module._spectral_diff if g.periodic else grid_module._fd_diff
+        assert np.array_equal(e, build(g, 1))
+
+
+def test_verify_all_builds_each_differentiation_matrix_once(tmp_path, monkeypatch):
+    builds = []
+    for name in ("_spectral_diff", "_fd_diff"):
+        def counted(g, q, build=getattr(grid_module, name)):
+            builds.append((g.lo, g.hi, g.n, g.periodic, q))
+            return build(g, q)
+
+        monkeypatch.setattr(grid_module, name, counted)
+    grid_module._diff_entries.cache_clear()
+    assert main(["verify", "--suite", "all", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert len(builds) == len(set(builds)) == 12
 
 
 def test_fd_weights_recover_taylor_coefficients():
