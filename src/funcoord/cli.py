@@ -37,7 +37,7 @@ import numpy as np
 
 from .distributions import GeneralizedFunction
 from .errors import FuncoordError
-from .grid import Grid, csv_text, make_uniform_grid
+from .grid import Grid, csv_blocks, csv_text, make_uniform_grid
 from .kernels import (
     Kernel,
     _as_coefficient,
@@ -538,8 +538,10 @@ def cmd_residual(config: RunConfig, n: int, m: int) -> int:
     )
     out = Path(config.out)
     if "csv" in config.formats:
-        table = csv_text(("x", "y", "R"), field_.x[:, None], field_.y[None, :], field_.values)
-        _write_text(out / "residual.csv", table)
+        _write_text(
+            out / "residual.csv",
+            csv_blocks(("x", "y", "R"), field_.x[:, None], field_.y[None, :], field_.values),
+        )
     summary = {
         "kernel": config.kernel,
         "n": n,
