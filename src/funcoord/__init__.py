@@ -19,7 +19,6 @@ from .grid import (
     OperatorMatrix,
     derivative_symbol,
     diff_matrix,
-    inner_product,
     make_uniform_grid,
     wavenumbers,
 )

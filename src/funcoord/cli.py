@@ -13,6 +13,9 @@ Commands
                derivative orders and registry coefficients; write the field
                as CSV and a JSON summary.
 
+Each command and verify suite reads only the inputs :data:`INPUTS` lists for
+it; setting any other, by flag or config file, is a configuration error.
+
 Exit codes: 0 success, 1 suite failure, 2 configuration error, 3 I/O error,
 4 numerical failure (a non-finite kernel value, a singular transform, a
 Riccati blow-up or a degenerate metric).
@@ -72,7 +75,7 @@ from .theorems import (
     theorem_property_suite,
 )
 
-__all__ = ["main", "RunConfig", "COEFFICIENTS", "KERNELS", "SUITES"]
+__all__ = ["main", "RunConfig", "COEFFICIENTS", "KERNELS", "SUITES", "INPUTS"]
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -97,9 +100,6 @@ class NamedCoefficient:
     name: str
     fn: Callable
     derivs: Tuple[Callable, ...]
-
-    def __call__(self, t):
-        return self.fn(t)
 
 
 COEFFICIENTS: Dict[str, NamedCoefficient] = {
@@ -180,9 +180,25 @@ class RunConfig:
     a: str = "1"
     b: str = "1"
 
-    def validate(self) -> "RunConfig":
+    def validate(self, command: str, given: Iterable[str]) -> "RunConfig":
+        """Check the values; reject each field in ``given`` (those the user
+        set) that the command or a selected suite does not read."""
         for key, hint in get_type_hints(RunConfig).items():
             _check_type(key, getattr(self, key), hint)
+        for s in self.suites:
+            if s != "all" and s not in SUITES:
+                raise ConfigError(f"unknown suite {s!r}; registry: {list(SUITES)}")
+        # 'all' expands to every suite; keep declared order, drop duplicates
+        self.suites = list(dict.fromkeys(
+            t for s in self.suites for t in (SUITES if s == "all" else [s])
+        ))
+        # a verify run reads a field only if every selected suite reads it
+        for name in (self.suites if command == "verify" else []) or [command]:
+            reads = {*RUN_WIDE, *INPUTS[command][0], *INPUTS[name][0]}
+            unread = ", ".join(repr(key) for key in sorted(set(given) - reads))
+            if unread:
+                what = f"suite {name!r}" if name in SUITES else command
+                raise ConfigError(f"{what} does not read {unread}; it reads {sorted(reads)}")
         if self.n is not None and self.n < 8:
             raise ConfigError(f"n must be >= 8, got {self.n}")
         if self.lo is not None and self.hi is not None and not self.hi > self.lo:
@@ -199,17 +215,6 @@ class RunConfig:
                     f"unknown kernel parameter 'kernel.{name}'; {kid!r} takes {sorted(types)}"
                 )
             _check_type(f"kernel.{name}", self.kernel[name], types[name])
-        suites = []
-        for s in self.suites:
-            if s == "all":
-                suites.extend(SUITE_ORDER)
-            elif s in SUITES:
-                suites.append(s)
-            else:
-                raise ConfigError(f"unknown suite {s!r}; registry: {SUITE_ORDER}")
-        # preserve declared order, drop duplicates
-        seen = set()
-        self.suites = [s for s in suites if not (s in seen or seen.add(s))]
         for key, value in self.tolerances.items():
             suite, dot, residual = key.partition(".")
             if not dot or suite not in SUITE_TOLERANCES:
@@ -239,15 +244,6 @@ class RunConfig:
     def make_kernel(self) -> Kernel:
         params = {k: v for k, v in self.kernel.items() if k != "id"}
         return KERNELS[self.kernel["id"]][0](**params)
-
-    def grid_or(self, lo: float, hi: float, n: int, periodic: bool) -> Grid:
-        """Suite default grid with any user overrides applied."""
-        return make_uniform_grid(
-            lo if self.lo is None else self.lo,
-            hi if self.hi is None else self.hi,
-            n if self.n is None else self.n,
-            periodic if self.periodic is None else self.periodic,
-        )
 
     def suite_tolerances(self, suite: str) -> Dict[str, float]:
         """Overrides for one suite, given as '<suite>.<residual>' keys."""
@@ -301,24 +297,23 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The config file's fields overridden by the flags given, validated
+    for the command; every field either sets counts as set by the user."""
     doc = _load_config(getattr(args, "config", None))
-    if args.command == "verify" and "kernel" in doc:
-        raise ConfigError("verify does not read 'kernel': every suite builds its own kernels")
-    config = RunConfig(**doc)
+    flags = vars(args)
     for name in ("n", "lo", "hi", "out", "seed", "threshold", "a", "b"):
-        if getattr(args, name, None) is not None:
-            setattr(config, name, getattr(args, name))
-    if getattr(args, "periodic", False):
-        config.periodic = True
-    if getattr(args, "kernel", None) is not None:
-        config.kernel = {"id": args.kernel}
-    if getattr(args, "suite", None):
-        config.suites = list(args.suite)
-    if getattr(args, "format", None) is not None:
-        config.formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    if getattr(args, "invert", False):
-        config.invert = True
-    return config.validate()
+        if flags.get(name) is not None:
+            doc[name] = flags[name]
+    for name in ("periodic", "invert"):
+        if flags.get(name):
+            doc[name] = True
+    if flags.get("kernel") is not None:
+        doc["kernel"] = {"id": flags["kernel"]}
+    if flags.get("suite"):
+        doc["suites"] = list(flags["suite"])
+    if flags.get("format") is not None:
+        doc["formats"] = [f.strip() for f in flags["format"].split(",") if f.strip()]
+    return RunConfig(**doc).validate(args.command, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +321,12 @@ def _resolve_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _suite_fourier(config: RunConfig) -> List[VerificationReport]:
-    grid = make_uniform_grid(0.0, 2.0 * np.pi, config.n or 32, periodic=True)
+def _suite_fourier(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     tol = config.suite_tolerances("fourier") or None
     return [check_fourier_diagonalizes(grid, order=1, tolerances=tol)]
 
 
-def _suite_derivative(config: RunConfig) -> List[VerificationReport]:
-    grid = config.grid_or(-6.0, 6.0, 48, True)
+def _suite_derivative(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     tol = config.suite_tolerances("derivative") or None
     return [
         check_derivative_preservation(gaussian(), grid, tolerances=tol),
@@ -343,24 +336,22 @@ def _suite_derivative(config: RunConfig) -> List[VerificationReport]:
     ]
 
 
-def _suite_theorem(config: RunConfig) -> List[VerificationReport]:
-    eval_first = make_uniform_grid(-0.8, 0.8, 64, periodic=False)
+def _suite_theorem(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     L, u, v = step_instance()
     first = smooth_from_generalized(
-        L, u, v, eval_first, seed=config.seed, tolerance=1.0e-6,
+        L, u, v, grid, seed=config.seed, tolerance=1.0e-6,
         name="theorem_step_first_order",
     )
     L2, u2, v2 = ramp_instance()
     second = smooth_from_generalized(
-        L2, u2, v2, eval_first, seed=config.seed, tolerance=1.0e-5,
+        L2, u2, v2, grid, seed=config.seed, tolerance=1.0e-5,
         name="theorem_ramp_second_order",
     )
     suite = theorem_property_suite(count=50, seed=config.seed, tolerance=1.0e-5)
     return [first, second, suite]
 
 
-def _suite_product(config: RunConfig) -> List[VerificationReport]:
-    grid = config.grid_or(-6.0, 6.0, 64, False)
+def _suite_product(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     tol = config.suite_tolerances("product") or None
     x2p1 = lambda t: np.asarray(t, dtype=float) ** 2 + 1.0
     ident = lambda t: np.asarray(t, dtype=float)
@@ -371,20 +362,17 @@ def _suite_product(config: RunConfig) -> List[VerificationReport]:
     ]
 
 
-def _suite_xdx(config: RunConfig) -> List[VerificationReport]:
-    grid = make_uniform_grid(0.0, 1.0, config.n or 32, periodic=False)
+def _suite_xdx(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     tol = config.suite_tolerances("xdx") or None
     return [check_xdx_intertwine(grid, tolerances=tol)]
 
 
-def _suite_nonlinear(config: RunConfig) -> List[VerificationReport]:
+def _suite_nonlinear(config: RunConfig, grid_id: Grid, grid_g: Grid) -> List[VerificationReport]:
     tol = config.suite_tolerances("nonlinear") or None
-    grid_id = make_uniform_grid(0.0, 2.0 * np.pi, 32, periodic=True)
     ident = check_nonlinear_tensor(
         dilation(1.0), np.sin(grid_id.nodes), grid_id, config.threshold,
         tolerances={**{"tensor_residual": 1.0e-9}, **(tol or {})},
     )
-    grid_g = make_uniform_grid(-2.0 * np.pi, 2.0 * np.pi, 64, periodic=True)
     gauss = check_nonlinear_tensor(
         gaussian(), np.sin(grid_g.nodes), grid_g, config.threshold, tolerances=tol
     )
@@ -394,9 +382,8 @@ def _suite_nonlinear(config: RunConfig) -> List[VerificationReport]:
 RICCATI_TOLERANCES = {"kernel_equation_residual": 1.0e-6}
 
 
-def _suite_riccati(config: RunConfig) -> List[VerificationReport]:
+def _suite_riccati(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     tol = _tolerances(RICCATI_TOLERANCES, config.suite_tolerances("riccati"))
-    grid = make_uniform_grid(0.0, 1.0, config.n or 64, periodic=False)
     y2 = COEFFICIENTS["y^2"]
     kernel = riccati_kernel(1.0, y2.fn, COEFFICIENTS["y"].fn, grid)
     if "csv" in config.formats:
@@ -429,8 +416,6 @@ SUITES: Dict[str, Callable] = {
     "riccati": _suite_riccati,
 }
 
-SUITE_ORDER = ["fourier", "derivative", "theorem", "product", "xdx", "nonlinear", "riccati"]
-
 #: suite -> default tolerance per residual: the '<suite>.<residual>' keys a
 #: tolerance override may name (the theorem suite takes none)
 SUITE_TOLERANCES: Dict[str, Dict[str, float]] = {
@@ -441,6 +426,42 @@ SUITE_TOLERANCES: Dict[str, Dict[str, float]] = {
     "nonlinear": NONLINEAR_TOLERANCES,
     "riccati": RICCATI_TOLERANCES,
 }
+
+#: the RunConfig fields that make up a grid, in make_uniform_grid's order
+GRID_FIELDS = ("lo", "hi", "n", "periodic")
+
+#: fields that apply to the whole run, whatever the command
+RUN_WIDE = ("out", "formats", "seed")
+
+#: verify suite or command -> (the RunConfig fields it reads besides
+#: RUN_WIDE, its default grids as (lo, hi, n, periodic)). Setting a field
+#: that the command, or a selected suite, does not read is a configuration
+#: error; a grid field that is set replaces the default.
+INPUTS: Dict[str, Tuple[Tuple[str, ...], Tuple[tuple, ...]]] = {
+    "verify": (("suites", "tolerances"), ()),
+    "fourier": (("n",), ((0.0, 2.0 * np.pi, 32, True),)),
+    "derivative": (GRID_FIELDS, ((-6.0, 6.0, 48, True),)),
+    "theorem": ((), ((-0.8, 0.8, 64, False),)),
+    "product": ((*GRID_FIELDS, "threshold"), ((-6.0, 6.0, 64, False),)),
+    "xdx": (("n",), ((0.0, 1.0, 32, False),)),
+    "nonlinear": (("threshold",), ((0.0, 2.0 * np.pi, 32, True),
+                                   (-2.0 * np.pi, 2.0 * np.pi, 64, True))),
+    "riccati": (("n",), ((0.0, 1.0, 64, False),)),
+    "transform": (("kernel", "invert", "threshold"), ()),
+    "residual": (("kernel", "a", "b", *GRID_FIELDS), ((-6.0, 6.0, 32, False),)),
+}
+
+
+def _grids(config: RunConfig, name: str) -> List[Grid]:
+    """The default grids of a suite or command, each grid field the config
+    sets in the default's place (validation lets it be set only if read)."""
+    return [
+        make_uniform_grid(*(
+            default if getattr(config, key) is None else getattr(config, key)
+            for key, default in zip(GRID_FIELDS, spec)
+        ))
+        for spec in INPUTS[name][1]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +492,7 @@ def cmd_verify(config: RunConfig) -> int:
     out = Path(config.out)
     summary = {"suites": {}, "all_passed": True, "seed": config.seed}
     for suite in config.suites:
-        reports = SUITES[suite](config)
+        reports = SUITES[suite](config, *_grids(config, suite))
         passed = all(r.passed for r in reports)
         summary["suites"][suite] = passed
         summary["all_passed"] = summary["all_passed"] and passed
@@ -529,7 +550,7 @@ def cmd_transform(config: RunConfig, input_path: str) -> int:
 
 def cmd_residual(config: RunConfig, n: int, m: int) -> int:
     """Evaluate the kernel-equation residual field for orders (n, m)."""
-    grid = config.grid_or(-6.0, 6.0, 32, False)
+    [grid] = _grids(config, "residual")
     kernel = config.make_kernel()
     a = COEFFICIENTS[config.a]
     b = COEFFICIENTS[config.b]

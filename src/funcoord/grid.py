@@ -32,7 +32,6 @@ __all__ = [
     "Grid",
     "OperatorMatrix",
     "make_uniform_grid",
-    "inner_product",
     "diff_matrix",
     "fd_weights",
     "wavenumbers",
@@ -118,12 +117,6 @@ class OperatorMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def to_csv(self) -> str:
-        """Entry-list CSV: ``i,j,value`` rows (``i,j,re,im`` when complex),
-        full 17-significant-digit floats."""
-        index = np.arange(self.n)
-        return csv_text(("i", "j", "value"), index[:, None], index[None, :], self.entries)
 
 
 def csv_text(names: Sequence[str], *columns) -> str:
@@ -222,21 +215,6 @@ def make_uniform_grid(lo: float, hi: float, n: int, periodic: bool = False) -> G
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return Grid(lo=lo, hi=hi, n=n, periodic=periodic, nodes=nodes, weights=weights)
-
-
-def inner_product(f, g, grid: Grid) -> complex:
-    """Quadrature inner product ``sum_k w_k conj(f_k) g_k``.
-
-    Conjugate-linear in the first slot, so for real samples this is the
-    plain weighted dot product. Raises :class:`DomainError` on a length
-    mismatch with the grid.
-    """
-    fa = grid.require_samples(f, "f")
-    ga = grid.require_samples(g, "g")
-    value = np.sum(grid.weights * np.conj(fa) * ga)
-    if np.iscomplexobj(fa) or np.iscomplexobj(ga):
-        return complex(value)
-    return float(value.real)
 
 
 def fd_weights(nodes, x0: float, order: int) -> np.ndarray:

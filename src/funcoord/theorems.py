@@ -201,7 +201,7 @@ def check_fourier_diagonalizes(
         name=f"fourier_diagonalizes_order{order}",
         residuals={
             "intertwine_max": intertwine,
-            "offband_defect_bw0": 1.0 - score0,
+            "offband_defect_bw0": max(0.0, 1.0 - score0),
         },
         tolerances=tol,
         condition=conj.condition,
@@ -538,7 +538,7 @@ def check_product_preservation(
         notes.append(f"locality score bw0 = {score0:.15f}, bw2 = {score2:.15f}")
         residuals = {
             "aomega_residual": residual,
-            "score_defect_bw0": 1.0 - score0,
+            "score_defect_bw0": max(0.0, 1.0 - score0),
         }
         condition = None
     else:

@@ -312,6 +312,42 @@ def test_verify_rejects_a_configured_kernel_it_would_ignore(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, config, reader, name", [
+    (["verify", "--suite", "theorem", "--n", "64"], None, "suite 'theorem'", "n"),
+    (["verify", "--suite", "nonlinear", "--n", "64"], None, "suite 'nonlinear'", "n"),
+    (["verify", "--suite", "fourier", "--lo", "1", "--hi", "2", "--periodic"], None,
+     "suite 'fourier'", "hi"),
+    (["verify", "--suite", "xdx", "--lo", "0.2", "--hi", "0.8"], None, "suite 'xdx'", "hi"),
+    (["verify", "--suite", "riccati", "--lo", "0.5"], None, "suite 'riccati'", "lo"),
+    (["verify", "--suite", "fourier", "--threshold", "1e-8"], None, "suite 'fourier'", "threshold"),
+    (["verify", "--suite", "all", "--threshold", "1e-8"], None, "suite 'fourier'", "threshold"),
+    (["transform", "--kernel", "gaussian", "--n", "16", "--lo", "0", "--periodic"], None,
+     "transform", "lo"),
+    (["transform", "--kernel", "gaussian"],
+     {"tolerances": {"fourier.intertwine_max": 1e-300}, "a": "x"}, "transform", "a"),
+    (["residual", "1", "1", "--kernel", "gaussian", "--threshold", "0.5"], None,
+     "residual", "threshold"),
+    (["residual", "1", "1", "--kernel", "gaussian"], {"invert": True, "suites": ["fourier"]},
+     "residual", "invert"),
+    (["verify"], {"suites": [], "n": 64}, "verify", "n"),
+])
+def test_input_the_run_would_ignore_is_config_error(tmp_path, capsys, argv, config, reader, name):
+    # each input is set but not read by the command or a selected suite, so
+    # it fails by name before any output is written instead of being ignored
+    if argv[0] == "transform":
+        argv = [*argv, "--input", make_gf_json(tmp_path, "smooth.json", {
+            "smooth": [0.0] * 64, "jumps": [], "singular": [], "grid": GRID_DOC,
+        })]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert f"{reader} does not read {name!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kernel, name", [
     ({"id": "dilation", "c": "x"}, "c"),
     ({"id": "gaussian", "c": 2}, "c"),

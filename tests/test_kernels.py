@@ -365,14 +365,6 @@ def test_tabulated_kernel_exports_csv_triples():
         table_csv(gaussian())
 
 
-def test_operator_matrix_csv_round_trips(wide_grid):
-    m = discretize(gaussian(), wide_grid)
-    lines = m.to_csv().strip().splitlines()
-    assert lines[0] == "i,j,value"
-    i, j, value = lines[1 + 3 * wide_grid.n + 5].split(",")
-    assert m.entries[int(i), int(j)] == float(value)
-
-
 # ---------------------------------------------------------------------------
 # translation-kernel commutation at the matrix level
 # ---------------------------------------------------------------------------
