@@ -44,13 +44,13 @@ from .grid import Grid, csv_blocks, csv_text, make_uniform_grid
 from .kernels import (
     Kernel,
     _as_coefficient,
+    _truncated_svd,
     apply,
     dilation,
     discretize,
     exp_exp,
     fourier,
     gaussian,
-    invert,
     kernel_pde_residual,
     multiplication,
     riccati_kernel,
@@ -195,6 +195,8 @@ class RunConfig:
         # a verify run reads a field only if every selected suite reads it
         for name in (self.suites if command == "verify" else []) or [command]:
             reads = {*RUN_WIDE, *INPUTS[command][0], *INPUTS[name][0]}
+            if command == "transform" and not self.invert:
+                reads.discard("threshold")  # only the inverse transform reads it
             unread = ", ".join(repr(key) for key in sorted(set(given) - reads))
             if unread:
                 what = f"suite {name!r}" if name in SUITES else command
@@ -431,7 +433,7 @@ SUITE_TOLERANCES: Dict[str, Dict[str, float]] = {
 GRID_FIELDS = ("lo", "hi", "n", "periodic")
 
 #: fields that apply to the whole run, whatever the command
-RUN_WIDE = ("out", "formats", "seed")
+RUN_WIDE = ("out", "seed")
 
 #: verify suite or command -> (the RunConfig fields it reads besides
 #: RUN_WIDE, its default grids as (lo, hi, n, periodic)). Setting a field
@@ -446,9 +448,9 @@ INPUTS: Dict[str, Tuple[Tuple[str, ...], Tuple[tuple, ...]]] = {
     "xdx": (("n",), ((0.0, 1.0, 32, False),)),
     "nonlinear": (("threshold",), ((0.0, 2.0 * np.pi, 32, True),
                                    (-2.0 * np.pi, 2.0 * np.pi, 64, True))),
-    "riccati": (("n",), ((0.0, 1.0, 64, False),)),
-    "transform": (("kernel", "invert", "threshold"), ()),
-    "residual": (("kernel", "a", "b", *GRID_FIELDS), ((-6.0, 6.0, 32, False),)),
+    "riccati": (("n", "formats"), ((0.0, 1.0, 64, False),)),
+    "transform": (("kernel", "invert", "threshold", "formats"), ()),
+    "residual": (("kernel", "a", "b", "formats", *GRID_FIELDS), ((-6.0, 6.0, 32, False),)),
 }
 
 
@@ -539,9 +541,9 @@ def cmd_transform(config: RunConfig, input_path: str) -> int:
         if gf.smooth is None:
             print("error: --invert needs a smooth part to invert", file=sys.stderr)
             return EXIT_CONFIG
-        matrix = discretize(kernel, gf.grid)
-        inverse, report = invert(matrix, config.threshold)
-        recovered = inverse.entries @ gf.smooth
+        # V_r (s_r^-1 (U_r^H f)): the regularized inverse, never formed
+        u, s, vh, report = _truncated_svd(discretize(kernel, gf.grid).entries, config.threshold)
+        recovered = vh.conj().T @ ((u.conj().T @ gf.smooth) / s)
         if "csv" in config.formats:
             _write_text(out / "transform_inverse.csv", csv_text(("x", "value"), x, recovered))
         print(_dump_json(asdict(report)), end="")

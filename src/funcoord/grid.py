@@ -282,11 +282,16 @@ def _spectral_diff(grid: Grid, q: int) -> np.ndarray:
 
     Exact on every resolved trigonometric mode (see
     :func:`derivative_symbol` for the Nyquist convention). The matrix is
-    circulant, ``D[i, j] = c[(i - j) mod n]`` with first column ``c``; row
-    ``i`` is the window at ``n - 1 - i`` of the reversed doubled column.
+    circulant, filled from its first column, the inverse DFT of the symbol.
     """
-    n = grid.n
-    c = np.fft.ifft(derivative_symbol(grid, q)).real
+    return _circulant(np.fft.ifft(derivative_symbol(grid, q)).real)
+
+
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """The circulant matrix ``C[i, j] = c[(i - j) mod n]`` with first
+    column ``c``, as one strided copy: row ``i`` is the window at
+    ``n - 1 - i`` of the reversed doubled column."""
+    n = len(c)
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((c, c))[::-1], n)
     return np.ascontiguousarray(windows[n - 1 :: -1])
 

@@ -31,7 +31,8 @@ its profile gives at negative orders) and by adaptive quadrature for every
 other kernel. scipy is imported only where that quadrature or an
 off-node interpolation runs.
 
-Inversion is always regularized (truncated SVD); deconvolution against a
+Inversion is always regularized (truncated SVD, by a randomized range
+finder for matrices of low numerical rank); deconvolution against a
 smoothing kernel is ill-posed, and the verification suites prefer residual
 formulations (``A W = W B``) over explicit inverses wherever a candidate
 ``B`` is known.
@@ -59,7 +60,16 @@ from .errors import (
     SingularTransformError,
     UnsupportedOrderError,
 )
-from .grid import Grid, OperatorMatrix, _fd_radius, csv_blocks, diff_matrix, fd_weights, wavenumbers
+from .grid import (
+    Grid,
+    OperatorMatrix,
+    _circulant,
+    _fd_radius,
+    csv_blocks,
+    diff_matrix,
+    fd_weights,
+    wavenumbers,
+)
 
 __all__ = [
     "Kernel",
@@ -85,6 +95,13 @@ RICCATI_BLOWUP = 1.0e6
 _SELF_CHECK_SEED = 20240811
 _SELF_CHECK_POINTS = 100
 _SELF_CHECK_TOL = 1.0e-6
+
+#: entries per row block of kernel_pde_residual
+_RESIDUAL_BLOCK = 1 << 14
+
+#: columns of the first range-finder sketch of _truncated_svd, and its seed
+_SKETCH_COLUMNS = 64
+_SKETCH_SEED = 20240812
 
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
@@ -400,15 +417,24 @@ def kernel_table(kernel: Kernel, x_rows: np.ndarray, grid: Grid, dx_order: int =
     evaluation on a periodic grid would truncate the convolution at the
     wrap and silently break commutation with differentiation. Non-periodic
     grids and non-translation kernels evaluate the kernel as given.
+
+    At the grid's own nodes that periodized table is circulant (its
+    weights are equal), so only its first column is evaluated and the
+    rest is a strided copy of it.
     """
     cols = column_nodes(kernel, grid)
     if kernel.profile_n is not None and grid.periodic:
+        on_nodes = np.array_equal(x_rows, cols)
+        delta = x_rows[:, None] - cols[None, :1 if on_nodes else None]
         span = grid.hi - grid.lo
-        delta = x_rows[:, None] - cols[None, :]
         wrapped = delta - span * np.round(delta / span)
         values = sum(
             kernel.profile_n(wrapped + m * span, dx_order) for m in (-1, 0, 1)
         )
+        if on_nodes:
+            table = _circulant(values[:, 0] * grid.weights[0])
+            _require_finite(kernel.id, table, x_rows, cols)
+            return table
     elif dx_order == 0:
         values = kernel.eval(x_rows[:, None], cols[None, :])
     else:
@@ -561,29 +587,71 @@ def apply(
 def invert(
     m: OperatorMatrix, threshold: float = 1.0e-10
 ) -> Tuple[OperatorMatrix, ConditionReport]:
-    """Regularized pseudo-inverse by truncated singular-value decomposition.
+    """Regularized pseudo-inverse ``V_r diag(1/s_r) U_r^H`` from the
+    singular triplets :func:`_truncated_svd` keeps.
 
-    Singular values below ``threshold * sigma_max`` are discarded. Raises
+    Raises :class:`SingularTransformError` when nothing survives.
+    """
+    u, s, vh, report = _truncated_svd(m.entries, threshold)
+    return OperatorMatrix((vh.conj().T / s) @ u.conj().T, m.grid), report
+
+
+def _truncated_svd(a: np.ndarray, threshold: float = 1.0e-10):
+    """The singular triplets of ``a`` with ``sigma >= threshold *
+    sigma_max``, as ``(U_r, s_r, V_r^H, ConditionReport)``.
+
+    A randomized range finder (Halko, Martinsson & Tropp 2011, Alg. 4.4:
+    a seeded Gaussian sketch with two orthonormalized power iterations)
+    computes the leading triplets, starting from 64 columns and doubling
+    until some sigma falls below the cut. Once the sketch would exceed
+    ``n/8`` columns, or the decay of its sigmas, continued geometrically,
+    would not reach the cut by then, the full SVD is taken instead: small
+    matrices and matrices of high rank are factored exactly. The report's
+    ``sigma_min`` is the smallest singular value computed (of all ``n``
+    on the exact path) and ``truncated = n - rank``. Raises
     :class:`SingularTransformError` when nothing survives.
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-    u, s, vh = np.linalg.svd(m.entries)
-    keep = s >= threshold * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
-    rank = int(np.count_nonzero(keep))
+    n = a.shape[1]
+    sketched, k = None, _SKETCH_COLUMNS
+    while sketched is None and k <= n // 8:
+        u, s, vh = _sketched_svd(a, k)
+        decay = s[-1] / s[0] if s[0] > 0 else 1.0
+        if decay < threshold:
+            sketched = u, s, vh
+        elif decay ** (n / 8 / k) >= threshold:
+            # the decay seen so far, continued geometrically, would not
+            # reach the cut within n/8 columns
+            break
+        k *= 2
+    u, s, vh = sketched or np.linalg.svd(a)
+    # threshold cuts a descending spectrum, so the kept block is a prefix
+    rank = int(np.count_nonzero(s >= threshold * s[0])) if s[0] > 0 else 0
     report = ConditionReport(
-        sigma_max=float(s[0]),
-        sigma_min=float(s[-1]),
-        truncated=int(s.size - rank),
-        rank=rank,
+        sigma_max=float(s[0]), sigma_min=float(s[-1]), truncated=n - rank, rank=rank
     )
     if rank == 0:
         raise SingularTransformError(
-            f"all {s.size} singular values fall below threshold {threshold}"
+            f"all {n} singular values fall below threshold {threshold}"
         )
-    # threshold cuts a descending spectrum, so the kept block is a prefix
-    pinv = (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
-    return OperatorMatrix(pinv, m.grid), report
+    if rank < n:
+        # copies, so that the full factors are freed on return
+        u, vh = u[:, :rank].copy(), vh[:rank].copy()
+    return u, s[:rank], vh, report
+
+
+def _sketched_svd(a: np.ndarray, k: int):
+    """SVD of ``a`` restricted to the range found by a seeded ``k``-column
+    Gaussian sketch and two orthonormalized power iterations:
+    ``(Q U_b, s, V^H)`` from the SVD ``U_b s V^H`` of ``Q^H a``."""
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((a.shape[1], k))
+    q, _ = np.linalg.qr(a @ omega)
+    for _ in range(2):
+        z, _ = np.linalg.qr((q.conj().T @ a).conj().T)
+        q, _ = np.linalg.qr(a @ z)
+    ub, s, vh = np.linalg.svd(q.conj().T @ a, full_matrices=False)
+    return q @ ub, s, vh
 
 
 # ---------------------------------------------------------------------------
@@ -649,52 +717,90 @@ def kernel_pde_residual(
     yg = grid if y_grid is None else y_grid
     x = grid.nodes
     y = yg.nodes
-    a_fn = _as_coefficient(a)
+    a_x = np.asarray(_as_coefficient(a)(x))
     b_fn = _as_coefficient(b)
+    b_y = np.asarray(b_fn(y))
+    sign = (-1.0) ** n
 
-    x_mask = np.ones(grid.n, dtype=bool)
-    y_mask = np.ones(yg.n, dtype=bool)
-
-    # ---- a(x) * d^n w / dx^n
-    if kernel._analytic("x", n):
-        dxn = kernel.partial_x(x[:, None], y[None, :], n)
-    else:
-        if n > 4:
+    fd_x = not kernel._analytic("x", n)
+    fd_y = m > 0 and not kernel._analytic("y", m)
+    for fd, order, axis in ((fd_x, n, "x"), (fd_y, m, "y")):
+        if fd and order > 4:
             raise UnsupportedOrderError(
-                f"finite-difference path supports x-order <= 4, got {n}"
+                f"finite-difference path supports {axis}-order <= 4, got {order}"
             )
+    # on the finite-difference paths the kernel is tabulated once and its
+    # boundary-stencil rows/columns are left out of the field
+    if fd_x:
         table = kernel.eval(x[:, None], y[None, :])
-        dxn = diff_matrix(grid, n).entries @ table if n else table
-        x_mask &= _fd_interior(grid, n)
+        dx = diff_matrix(grid, n).entries
+    if fd_y:
+        dy = diff_matrix(yg, m).entries
+    elif m:
+        b_derivs = [
+            np.asarray(_coefficient_derivative(b_fn, m - i, db)(y)) for i in range(m + 1)
+        ]
+    x_mask = _fd_interior(grid, n if fd_x else 0)
+    y_mask = _fd_interior(yg, m if fd_y else 0)
+    every_node = bool(x_mask.all() and y_mask.all())
 
-    lhs = np.asarray(a_fn(x))[:, None] * dxn
+    values, kept, max_norm = None, 0, 0.0
+    step = max(1, _RESIDUAL_BLOCK // yg.n)
+    for r0 in range(0, grid.n, step):
+        r1 = min(r0 + step, grid.n)
+        xs = x[r0:r1, None]
+        # ---- a(x) * d^n w / dx^n
+        if fd_x:
+            dxn = _banded_rows(dx, grid, n, table, r0, r1)
+        else:
+            dxn = kernel.partial_x(xs, y[None, :], n)
+        lhs = a_x[r0:r1, None] * dxn
+        # ---- (-1)^n * d^m (w b) / dy^m
+        if m == 0:
+            w = table[r0:r1] if fd_x else kernel.eval(xs, y[None, :])
+            rhs = w * b_y[None, :]
+        elif not fd_y:
+            rhs = np.zeros_like(lhs)
+            for i, bi in enumerate(b_derivs):
+                rhs = rhs + math.comb(m, i) * kernel.partial_y(xs, y[None, :], i) * bi[None, :]
+        else:
+            wb = kernel.eval(xs, y[None, :]) * b_y[None, :]
+            rhs = _banded_rows(dy, yg, m, wb.T, 0, yg.n).T
+        block = lhs - sign * rhs
+        _require_finite(kernel.id, block, x[r0:r1], y)
+        if not every_node:
+            block = block[np.ix_(x_mask[r0:r1], y_mask)]
+        if values is None:
+            values = np.empty((int(x_mask.sum()), int(y_mask.sum())), dtype=block.dtype)
+        values[kept : kept + len(block)] = block
+        kept += len(block)
+        if block.size:
+            max_norm = max(max_norm, float(np.max(np.abs(block))))
 
-    # ---- (-1)^n * d^m (w b) / dy^m
-    if m == 0:
-        rhs = kernel.eval(x[:, None], y[None, :]) * np.asarray(b_fn(y))[None, :]
-    elif kernel._analytic("y", m):
-        rhs = np.zeros_like(lhs)
-        for i in range(m + 1):
-            bi = _coefficient_derivative(b_fn, m - i, db)
-            rhs = rhs + (
-                math.comb(m, i)
-                * kernel.partial_y(x[:, None], y[None, :], i)
-                * np.asarray(bi(y))[None, :]
-            )
-    else:
-        if m > 4:
-            raise UnsupportedOrderError(
-                f"finite-difference path supports y-order <= 4, got {m}"
-            )
-        table = kernel.eval(x[:, None], y[None, :]) * np.asarray(b_fn(y))[None, :]
-        rhs = table @ diff_matrix(yg, m).entries.T
-        y_mask &= _fd_interior(yg, m)
+    return ResidualField(x=x[x_mask], y=y[y_mask], values=values), max_norm
 
-    residual = lhs - (-1.0) ** n * rhs
-    _require_finite(kernel.id, residual, x, y)
 
-    field = ResidualField(x=x[x_mask], y=y[y_mask], values=residual[np.ix_(x_mask, y_mask)])
-    return field, float(np.max(np.abs(field.values)))
+def _banded_rows(d: np.ndarray, grid: Grid, q: int, values: np.ndarray, r0: int, r1: int):
+    """Rows ``r0:r1`` of ``d @ values`` for ``d``, the entries of
+    ``diff_matrix(grid, q)``. A finite-difference matrix is banded: its
+    interior rows apply their stencil weights to shifted slices of
+    ``values`` and only its boundary rows take a product with their row of
+    ``d``. The spectral matrix of a periodic grid is dense."""
+    if grid.periodic:
+        return d[r0:r1] @ values
+    n, radius = grid.n, _fd_radius(q)
+    out = np.empty((r1 - r0, values.shape[1]), dtype=np.result_type(d, values))
+    lo, hi = max(r0, radius), min(r1, n - radius)
+    if lo < hi:
+        rows = np.arange(lo, hi)[:, None]
+        weights = d[rows, rows + np.arange(-radius, radius + 1)]
+        acc = out[lo - r0 : hi - r0]
+        np.multiply(weights[:, :1], values[lo - radius : hi - radius], out=acc)
+        for k in range(1, 2 * radius + 1):
+            acc += weights[:, k : k + 1] * values[lo - radius + k : hi - radius + k]
+    for i in [*range(r0, min(r1, radius)), *range(max(r0, n - radius), r1)]:
+        out[i - r0] = d[i] @ values
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -715,56 +821,57 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
     :class:`RiccatiBlowupError` if ``|g|`` exceeds 1e6, reporting the
     blow-up location.
     """
-    a_fn = _as_coefficient(a)
     b_fn = _as_coefficient(b)
     g0_fn = _as_coefficient(g0)
     x = grid.nodes
     y = grid.nodes.copy()
-    # the integrator also samples interval midpoints
-    probe = np.union1d(x, x[:-1] + np.diff(x) / 2.0)
-    if np.any(np.asarray(a_fn(probe), dtype=float) == 0.0):
+    # a(x) at the points each Runge-Kutta step samples: x_i, x_i + h/2, x_i + h
+    step = np.diff(x)
+    a_at = [np.broadcast_to(np.asarray(_as_coefficient(a)(t), dtype=float), step.shape)
+            for t in (x[:-1], x[:-1] + step / 2, x[:-1] + step)]
+    if np.any(np.concatenate(a_at) == 0.0):
         raise DomainError("coefficient a(x) vanishes on the grid")
 
     b_vals = np.asarray(b_fn(y), dtype=float)
     g = np.asarray(g0_fn(y), dtype=float).copy()
-    slopes = np.empty((grid.n, grid.n))
-    slopes[0] = g
+    # the table holds the exponent f until the final in-place exp; f(lo, .) = 0
+    values = np.empty((grid.n, grid.n))
+    values[0] = 0.0
 
-    def rhs(xv, gv):
-        return b_vals / float(a_fn(xv)) - gv**2
+    def rhs(a_value, gv):
+        return b_vals / a_value - gv**2
 
-    for i in range(grid.n - 1):
-        h = x[i + 1] - x[i]
-        k1 = rhs(x[i], g)
-        k2 = rhs(x[i] + h / 2, g + h / 2 * k1)
-        k3 = rhs(x[i] + h / 2, g + h / 2 * k2)
-        k4 = rhs(x[i] + h, g + h * k3)
-        g = g + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.any(np.abs(g) > RICCATI_BLOWUP) or not np.all(np.isfinite(g)):
-            bad = int(np.argmax(~np.isfinite(g) | (np.abs(g) > RICCATI_BLOWUP)))
-            raise RiccatiBlowupError(float(x[i + 1]), float(y[bad]), float(g[bad]))
-        slopes[i + 1] = g
-
-    # cumulative trapezoid rule, in scipy's cumulative_trapezoid's arithmetic
-    exponent = np.zeros_like(slopes)
-    exponent[1:] = np.cumsum(np.diff(x)[:, None] * (slopes[1:] + slopes[:-1]) / 2.0, axis=0)
-    values = np.exp(exponent)
+    for i, (h, a_left, a_mid, a_right) in enumerate(zip(step, *a_at)):
+        k1 = rhs(a_left, g)
+        k2 = rhs(a_mid, g + h / 2 * k1)
+        k3 = rhs(a_mid, g + h / 2 * k2)
+        k4 = rhs(a_right, g + h * k3)
+        g_next = g + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if np.any(np.abs(g_next) > RICCATI_BLOWUP) or not np.all(np.isfinite(g_next)):
+            bad = int(np.argmax(~np.isfinite(g_next) | (np.abs(g_next) > RICCATI_BLOWUP)))
+            raise RiccatiBlowupError(float(x[i + 1]), float(y[bad]), float(g_next[bad]))
+        # cumulative trapezoid rule, in scipy's cumulative_trapezoid's arithmetic
+        values[i + 1] = values[i] + h * (g_next + g) / 2.0
+        g = g_next
+    np.exp(values, out=values)
     _require_finite("riccati", values, x, y)
 
     spline = None
 
     def w(xv, yv):
         nonlocal spline
-        xb, yb = np.broadcast_arrays(np.asarray(xv, dtype=float), np.asarray(yv, dtype=float))
-        i = np.minimum(np.searchsorted(x, xb), grid.n - 1)
-        j = np.minimum(np.searchsorted(y, yb), grid.n - 1)
-        if np.array_equal(x[i], xb) and np.array_equal(y[j], yb):
+        # nodes are looked up on each argument's own shape, before broadcasting
+        xa, ya = np.asarray(xv, dtype=float), np.asarray(yv, dtype=float)
+        i = np.minimum(np.searchsorted(x, xa), grid.n - 1)
+        j = np.minimum(np.searchsorted(y, ya), grid.n - 1)
+        if np.array_equal(x[i], xa) and np.array_equal(y[j], ya):
             out = values[i, j]
         else:
             if spline is None:
                 from scipy.interpolate import RectBivariateSpline
 
                 spline = RectBivariateSpline(x, y, values, kx=3, ky=3)
+            xb, yb = np.broadcast_arrays(xa, ya)
             out = spline.ev(xb.ravel(), yb.ravel()).reshape(xb.shape)
         return out if out.shape else float(out)
 

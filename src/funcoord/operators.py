@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, MetricDegeneracyError
 from .grid import Grid, OperatorMatrix, diff_matrix
-from .kernels import _as_coefficient, invert
+from .kernels import _as_coefficient, _truncated_svd
 
 __all__ = [
     "LocalOperator",
@@ -97,7 +97,8 @@ def to_matrix(op: LocalOperator, grid: Grid) -> OperatorMatrix:
 def conjugate(
     A: OperatorMatrix, W: OperatorMatrix, threshold: float = 1.0e-10
 ) -> OperatorMatrix:
-    """Coordinate-transformed operator ``invert(W) A W``.
+    """Coordinate-transformed operator ``invert(W) A W``, with the
+    regularized inverse applied in factored form.
 
     The regularized inverse's :class:`ConditionReport` is attached to the
     result's ``condition`` field — always inspect it: a truncated rank
@@ -105,8 +106,12 @@ def conjugate(
     """
     if A.n != W.n:
         raise DomainError(f"dimension mismatch: A is {A.n}, W is {W.n}")
-    w_inv, report = invert(W, threshold)
-    out = OperatorMatrix(w_inv.entries @ A.entries @ W.entries, A.grid or W.grid)
+    # V_r (s_r^-1 ((U_r^H A) W)): the pseudo-inverse is applied in factored
+    # form, so every product but the last is thin
+    u, s, vh, report = _truncated_svd(W.entries, threshold)
+    out = OperatorMatrix(
+        vh.conj().T @ ((u.conj().T @ A.entries @ W.entries) / s[:, None]), A.grid or W.grid
+    )
     out.condition = report
     return out
 
@@ -160,13 +165,19 @@ def locality_score(A: OperatorMatrix, bandwidth_nodes: int) -> float:
     bandwidth_nodes = int(bandwidth_nodes)
     if bandwidth_nodes < 0:
         raise DomainError(f"bandwidth must be >= 0, got {bandwidth_nodes}")
-    n = A.n
-    i, j = np.indices((n, n))
-    dist = np.abs(i - j)
+    n, e = A.n, A.entries
+    near = min(bandwidth_nodes, n - 1)
+    offsets = set(range(-near, near + 1))
     if A.grid is not None and A.grid.periodic:
-        dist = np.minimum(dist, n - dist)
-    mass = np.abs(A.entries) ** 2
-    total = float(mass.sum())
+        # the wrapped diagonals k = +-(n - d) lie at periodic distance d
+        offsets |= {s * (n - d) for d in range(1, near + 1) for s in (-1, 1)}
+    total = _squared_mass(e)
     if total == 0.0:
         return 1.0
-    return float(mass[dist <= bandwidth_nodes].sum() / total)
+    return sum(_squared_mass(np.diagonal(e, k)) for k in sorted(offsets)) / total
+
+
+def _squared_mass(values: np.ndarray) -> float:
+    """Sum of ``|v|^2`` over all entries."""
+    flat = values.ravel()
+    return float(np.vdot(flat, flat).real)

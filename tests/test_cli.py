@@ -330,6 +330,8 @@ def test_verify_rejects_a_configured_kernel_it_would_ignore(tmp_path, capsys):
     (["residual", "1", "1", "--kernel", "gaussian"], {"invert": True, "suites": ["fourier"]},
      "residual", "invert"),
     (["verify"], {"suites": [], "n": 64}, "verify", "n"),
+    (["verify", "--suite", "fourier", "--format", "csv"], None, "suite 'fourier'", "formats"),
+    (["transform", "--kernel", "gaussian", "--threshold", "0.5"], None, "transform", "threshold"),
 ])
 def test_input_the_run_would_ignore_is_config_error(tmp_path, capsys, argv, config, reader, name):
     # each input is set but not read by the command or a selected suite, so
@@ -396,6 +398,59 @@ def test_verify_never_imports_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", script, "verify", "--suite", "all", "--seed", "7",
          "--out", str(tmp_path / "all")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_format_and_threshold_are_read_where_they_apply(tmp_path, capsys):
+    # the riccati suite reads --format; transform reads --threshold under --invert
+    out = tmp_path / "ric"
+    assert run(["verify", "--suite", "riccati", "--format", "json", "--out", str(out)]) == 0
+    assert not (out / "riccati_table.csv").exists() and (out / "suite_riccati.json").exists()
+    x = np.linspace(-6, 6, 64)
+    gf = make_gf_json(tmp_path, "smooth.json", {
+        "smooth": list(np.exp(-x**2)), "jumps": [], "singular": [], "grid": GRID_DOC,
+    })
+    capsys.readouterr()
+    assert run(["transform", "--input", gf, "--kernel", "gaussian", "--invert",
+                "--threshold", "1e-6", "--out", str(tmp_path / "tr")]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] < 64
+
+
+def test_transform_invert_applies_the_regularized_inverse(tmp_path, capsys):
+    from funcoord import discretize, gaussian, invert, make_uniform_grid
+
+    x = np.linspace(-6, 6, 64)
+    smooth = np.exp(-x**2) * np.cos(2 * x)
+    gf = make_gf_json(tmp_path, "smooth.json", {
+        "smooth": list(smooth), "jumps": [], "singular": [], "grid": GRID_DOC,
+    })
+    out = tmp_path / "tr"
+    assert run(["transform", "--input", gf, "--kernel", "gaussian", "--invert",
+                "--threshold", "1e-6", "--out", str(out)]) == 0
+    _, rows = read_csv(out / "transform_inverse.csv")
+    w_inv, _ = invert(discretize(gaussian(), make_uniform_grid(-6, 6, 64)), 1e-6)
+    expected = w_inv.entries @ smooth
+    assert np.max(np.abs(rows[:, 1] - expected)) < 1e-9 * np.max(np.abs(expected))
+
+
+def test_verify_riccati_never_imports_numpy_ma(tmp_path):
+    # the riccati builder checks a(x) for zeros without numpy's set routines,
+    # whose np.unique loads numpy.ma
+    script = (
+        "import sys\n"
+        "import funcoord.cli\n"
+        "code = funcoord.cli.main(sys.argv[1:])\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--suite", "riccati", "--out", str(tmp_path / "r")],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

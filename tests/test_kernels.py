@@ -32,6 +32,7 @@ from funcoord import (
     translation_family,
 )
 from funcoord.grid import OperatorMatrix
+from funcoord.kernels import _banded_rows, _fd_radius, _sketched_svd, _truncated_svd, kernel_table
 
 
 def t_gauss_kernel():
@@ -117,6 +118,30 @@ def test_discretize_rejects_nonfinite_kernel(wide_grid):
         bad = Kernel(id="pole", eval=lambda x, y: 1.0 / (np.asarray(x) - np.asarray(y)))
         with pytest.raises(KernelEvaluationError):
             discretize(bad, wide_grid)
+
+
+@pytest.mark.parametrize("make_kernel", [gaussian, t_gauss_kernel])
+@pytest.mark.parametrize("lo, hi, n", [(-6.0, 6.0, 48), (-2 * np.pi, 2 * np.pi, 64), (-5.0, 7.0, 45)])
+@pytest.mark.parametrize("dx_order", [0, 1])
+def test_periodic_translation_table_is_its_periodized_evaluation(make_kernel, lo, hi, n, dx_order):
+    # on the grid's own nodes the table is copied from one circulant column;
+    # it must equal the periodized profile evaluated at every pair of nodes,
+    # up to the rounding of x_i - x_j (a few ulps of the coordinates)
+    g = make_uniform_grid(lo, hi, n, periodic=True)
+    k = make_kernel()
+    table = kernel_table(k, g.nodes, g, dx_order)
+    span = hi - lo
+    delta = g.nodes[:, None] - g.nodes[None, :]
+    wrapped = delta - span * np.round(delta / span)
+    expected = sum(k.profile_n(wrapped + m * span, dx_order) for m in (-1, 0, 1)) * g.weights
+    assert np.max(np.abs(table - expected)) <= 1e-14 * np.max(np.abs(expected))
+    # off the nodes the table is still evaluated entry by entry
+    shifted = g.nodes + 0.1
+    off = kernel_table(k, shifted, g, dx_order)
+    delta = shifted[:, None] - g.nodes[None, :]
+    wrapped = delta - span * np.round(delta / span)
+    expected = sum(k.profile_n(wrapped + m * span, dx_order) for m in (-1, 0, 1)) * g.weights
+    assert np.array_equal(off, expected)
 
 
 def test_apply_gaussian_to_delta(wide_grid):
@@ -244,6 +269,46 @@ def test_condition_report_round_trips():
     assert set(doc) == {"sigma_max", "sigma_min", "truncated", "rank"}
 
 
+def test_sketched_svd_keeps_the_exact_rank_and_sigmas():
+    # the Gaussian's singular values fall below 1e-10 * sigma_max after a
+    # few dozen, so a 64-column sketch resolves every one that is kept
+    g = make_uniform_grid(-6.0, 6.0, 160, periodic=False)
+    w = discretize(gaussian(), g).entries
+    exact = np.linalg.svd(w, compute_uv=False)
+    u, s, vh = _sketched_svd(w, 64)
+    rank = int(np.count_nonzero(s >= 1e-10 * s[0]))
+    assert rank == int(np.count_nonzero(exact >= 1e-10 * exact[0])) < 64
+    assert np.max(np.abs(s[:rank] / exact[:rank] - 1.0)) < 1e-6
+    # the factors are orthonormal and reproduce the kept part of w
+    assert np.max(np.abs(u.T @ u - np.eye(64))) < 1e-12
+    assert np.max(np.abs((u[:, :rank] * s[:rank]) @ vh[:rank] - w)) < 1e-9 * exact[0]
+
+
+def test_truncated_svd_sketches_a_low_rank_kernel():
+    # at n = 512 the 64-column sketch is within n/8, so it is taken
+    g = make_uniform_grid(-6.0, 6.0, 512, periodic=False)
+    w = discretize(gaussian(), g).entries
+    exact = np.linalg.svd(w, compute_uv=False)
+    u, s, vh, report = _truncated_svd(w, 1e-10)
+    assert report.rank == int(np.count_nonzero(exact >= 1e-10 * exact[0])) == len(s)
+    assert report.truncated == g.n - report.rank
+    assert u.shape == (g.n, report.rank) and vh.shape == (report.rank, g.n)
+    assert np.max(np.abs(s / exact[: report.rank] - 1.0)) < 1e-6
+    # sigma_min is the smallest value the sketch computed, below the cut
+    assert report.sigma_min < 1e-10 * report.sigma_max
+    assert report.sigma_min != float(exact[-1])
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_full_rank_matrix_takes_the_exact_path(n):
+    rng = np.random.default_rng(n)
+    a = np.eye(n) + 0.1 * rng.normal(size=(n, n)) / np.sqrt(n)
+    u, s, vh, report = _truncated_svd(a, 1e-10)
+    u0, s0, vh0 = np.linalg.svd(a)
+    assert np.array_equal(u, u0) and np.array_equal(s, s0) and np.array_equal(vh, vh0)
+    assert (report.rank, report.truncated, report.sigma_min) == (n, 0, float(s0[-1]))
+
+
 # ---------------------------------------------------------------------------
 # kernel intertwining-equation residuals
 # ---------------------------------------------------------------------------
@@ -299,6 +364,49 @@ def test_residual_interior_mask_on_fd_path():
     field, _ = kernel_pde_residual(k, 2, 0, 1.0, 0.0, g)
     # boundary-stencil rows are excluded from the x side only (m = 0)
     assert field.x.size == g.n - 4 and field.y.size == g.n
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_banded_rows_equal_the_matrix_product(q, periodic):
+    g = make_uniform_grid(0.0, 1.0, 40, periodic=periodic)
+    d = diff_matrix(g, q).entries
+    table = np.exp(np.outer(g.nodes, np.linspace(-1.0, 1.0, 7)))
+    dense = d @ table
+    # the roundoff of either sum scales with the sum of the term magnitudes
+    scale = np.max(np.abs(d) @ np.abs(table))
+    # row blocks that start and end in the boundary rows and in the interior
+    for r0, r1 in [(0, 40), (0, 2), (1, 9), (5, 36), (30, 40), (38, 39)]:
+        rows = _banded_rows(d, g, q, table, r0, r1)
+        assert np.max(np.abs(rows - dense[r0:r1])) < 1e-12 * scale
+    # along the other axis through a transposed view, as the y derivative is
+    # taken on a block of rows
+    block = table.T
+    across = _banded_rows(d, g, q, block.T, 0, g.n).T
+    assert np.max(np.abs(across - block @ d.T)) < 1e-12 * scale
+
+
+def test_residual_row_blocks_match_the_dense_formula():
+    # exp_family without supplied derivatives takes finite differences on
+    # both axes; n = 200 splits the field into several row blocks
+    g = make_uniform_grid(0.0, 1.0, 200, periodic=False)
+    yg = make_uniform_grid(-1.0, 1.0, 150, periodic=False)
+    F = lambda y: 1.0 + 0.5 * np.asarray(y) ** 2
+    k = exp_family(F, lambda x: np.asarray(x), lambda y: np.sin(np.asarray(y)))
+    a = lambda x: 1.0 + np.asarray(x)
+    b = lambda y: np.cos(np.asarray(y))
+    field, norm = kernel_pde_residual(k, 2, 1, a, b, g, y_grid=yg)
+    w = k.eval(g.nodes[:, None], yg.nodes[None, :])
+    dense = a(g.nodes)[:, None] * (diff_matrix(g, 2).entries @ w) - (
+        (w * b(yg.nodes)[None, :]) @ diff_matrix(yg, 1).entries.T
+    )
+    rx, ry = _fd_radius(2), _fd_radius(1)
+    expected = dense[rx : g.n - rx, ry : yg.n - ry]
+    assert field.values.shape == expected.shape
+    assert np.array_equal(field.x, g.nodes[rx : g.n - rx])
+    assert np.array_equal(field.y, yg.nodes[ry : yg.n - ry])
+    assert np.max(np.abs(field.values - expected)) < 1e-10 * np.max(np.abs(dense))
+    assert norm == np.max(np.abs(field.values))
 
 
 # ---------------------------------------------------------------------------

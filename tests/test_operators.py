@@ -218,3 +218,42 @@ def test_locality_invariant_under_multiplication_conjugation():
     assert abs(locality_score(OperatorMatrix(tri, g), 1) - locality_score(conj, 1)) < 1e-10
     diag = OperatorMatrix(np.diag(g.nodes), g)
     assert abs(locality_score(conjugate(diag, w), 0) - 1.0) < 1e-10
+
+
+def _masked_locality(entries, bandwidth, periodic):
+    """The band-mass fraction by an explicit distance mask."""
+    n = entries.shape[0]
+    i, j = np.indices((n, n))
+    dist = np.abs(i - j)
+    if periodic:
+        dist = np.minimum(dist, n - dist)
+    mass = np.abs(entries) ** 2
+    return mass[dist <= bandwidth].sum() / mass.sum()
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n", [8, 9, 33])
+def test_locality_score_by_diagonals_equals_the_mask_formula(periodic, n):
+    rng = np.random.default_rng(n)
+    g = make_uniform_grid(0.0, 1.0, n, periodic=periodic)
+    for entries in (rng.normal(size=(n, n)), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))):
+        for bw in (0, 1, 2, n // 2 - 1, n // 2, n // 2 + 1, n - 1, n + 5):
+            score = locality_score(OperatorMatrix(entries, g), bw)
+            assert score == pytest.approx(_masked_locality(entries, bw, periodic), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["well_conditioned", "gaussian"])
+def test_conjugate_applies_the_pseudo_inverse_in_factored_form(kind):
+    # against the formed product; the gaussian keeps sigmas down to 1e-6 of
+    # sigma_max, so both sides carry roundoff amplified up to 1e6
+    g = make_uniform_grid(-6.0, 6.0, 64, periodic=False)
+    if kind == "gaussian":
+        w, threshold, tol = discretize(gaussian(), g), 1e-6, 1e-9
+    else:
+        w, threshold, tol = OperatorMatrix(random_well_conditioned(np.random.default_rng(3), 64), g), 1e-10, 1e-13
+    a = OperatorMatrix(np.diag(g.nodes), g)
+    conj = conjugate(a, w, threshold)
+    w_inv, report = invert(w, threshold)
+    formed = w_inv.entries @ a.entries @ w.entries
+    assert conj.condition == report
+    assert np.max(np.abs(conj.entries - formed)) < tol * np.max(np.abs(formed))
