@@ -106,8 +106,7 @@ def conjugate(
     """
     if A.n != W.n:
         raise DomainError(f"dimension mismatch: A is {A.n}, W is {W.n}")
-    # V_r (s_r^-1 ((U_r^H A) W)): the pseudo-inverse is applied in factored
-    # form, so every product but the last is thin
+    # V_r (s_r^-1 ((U_r^H A) W)): every product but the last has only r rows
     u, s, vh, report = _truncated_svd(W.entries, threshold)
     out = OperatorMatrix(
         vh.conj().T @ ((u.conj().T @ A.entries @ W.entries) / s[:, None]), A.grid or W.grid
