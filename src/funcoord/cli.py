@@ -207,6 +207,9 @@ class RunConfig:
             raise ConfigError(f"need hi > lo, got [{self.lo}, {self.hi}]")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if self.seed < 0:
+            # random.Random seeds with |seed|, so -s would repeat the draws of s
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         kid = self.kernel.get("id")
         if not isinstance(kid, str) or kid not in KERNELS:
             raise ConfigError(f"unknown kernel {kid!r}; registry: {sorted(KERNELS)}")

@@ -10,15 +10,16 @@ Differentiation matrices are spectral on periodic grids and 4th-order
 finite-difference stencils otherwise, so that differentiation error sits
 far below the transform errors probed by the verification suites. The
 spectral matrix is circulant: it is filled from its first column, the
-inverse DFT of the derivative symbol. Each matrix is built once per
-``(lo, hi, n, periodic, q)`` and its entries are cached read-only and
-shared by every :func:`diff_matrix` call with that key.
+inverse DFT of the derivative symbol. The entries of each matrix are
+read-only and keyed by ``(lo, hi, n, periodic, q)``; a cache bounded by
+bytes shares the recently used small ones between :func:`diff_matrix`
+calls, while a large one lives only as long as its caller holds it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add
@@ -344,8 +345,8 @@ def diff_matrix(grid: Grid, q: int) -> OperatorMatrix:
     4th-order stencils, supported for ``q <= 4``.
 
     Each call returns a new :class:`OperatorMatrix`, but its entries are
-    built once per ``(lo, hi, n, periodic, q)`` and shared: they are
-    read-only, so copy them before writing.
+    read-only and may be shared with earlier calls of the same
+    ``(lo, hi, n, periodic, q)``: copy them before writing.
 
     Raises
     ------
@@ -362,12 +363,35 @@ def diff_matrix(grid: Grid, q: int) -> OperatorMatrix:
     return OperatorMatrix(_diff_entries(grid.lo, grid.hi, grid.n, grid.periodic, q), grid)
 
 
-@functools.lru_cache(maxsize=16)
+#: bytes of differentiation-matrix entries kept for reuse: the 12 of
+#: ``verify --suite all`` at its default sizes take 302 KiB, one matrix at
+#: n = 512 takes 2 MiB
+_DIFF_CACHE_BYTES = 1 << 20
+
+_diff_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+
+
 def _diff_entries(lo: float, hi: float, n: int, periodic: bool, q: int) -> np.ndarray:
     """Read-only entries of :func:`diff_matrix`, keyed by value because a
-    :class:`Grid` holds arrays and cannot be hashed. The bound keeps a
-    long-lived process from holding every size it ever used."""
+    :class:`Grid` holds arrays and cannot be hashed.
+
+    The cache is bounded by bytes, not by count: it keeps the most
+    recently used entries whose sizes sum to at most ``_DIFF_CACHE_BYTES``,
+    and an entry larger than that is never kept, so it is freed as soon as
+    its caller drops it. ``_diff_entries.cache_clear()`` empties it."""
+    key = (lo, hi, n, periodic, q)
+    entries = _diff_cache.get(key)
+    if entries is not None:
+        _diff_cache.move_to_end(key)
+        return entries
     grid = make_uniform_grid(lo, hi, n, periodic)
     entries = _spectral_diff(grid, q) if periodic else _fd_diff(grid, q)
     entries.setflags(write=False)
+    if entries.nbytes <= _DIFF_CACHE_BYTES:
+        _diff_cache[key] = entries
+        while sum(e.nbytes for e in _diff_cache.values()) > _DIFF_CACHE_BYTES:
+            _diff_cache.popitem(last=False)
     return entries
+
+
+_diff_entries.cache_clear = _diff_cache.clear

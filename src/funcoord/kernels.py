@@ -46,6 +46,7 @@ growth. Each test documents its domain choice.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
@@ -456,9 +457,11 @@ def _self_check(kernel: Kernel, x_range, y_range) -> None:
     """Verify analytic first partials against centered finite differences
     at seeded random points of the working rectangle, on every axis whose
     analytic reach is at least 1."""
-    rng = np.random.default_rng(_SELF_CHECK_SEED)
-    xs = rng.uniform(*x_range, _SELF_CHECK_POINTS)
-    ys = rng.uniform(*y_range, _SELF_CHECK_POINTS)
+    rng = random.Random(_SELF_CHECK_SEED)
+    xs, ys = (
+        np.array([rng.uniform(*span) for _ in range(_SELF_CHECK_POINTS)])
+        for span in (x_range, y_range)
+    )
     for axis in ("x", "y"):
         if not kernel._analytic(axis, 1):
             continue
@@ -645,13 +648,25 @@ def _sketched_svd(a: np.ndarray, k: int):
     """SVD of ``a`` restricted to the range found by a seeded ``k``-column
     Gaussian sketch and two orthonormalized power iterations:
     ``(Q U_b, s, V^H)`` from the SVD ``U_b s V^H`` of ``Q^H a``."""
-    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((a.shape[1], k))
+    omega = _gaussian_sketch(random.Random(_SKETCH_SEED), (a.shape[1], k))
     q, _ = np.linalg.qr(a @ omega)
     for _ in range(2):
         z, _ = np.linalg.qr((q.conj().T @ a).conj().T)
         q, _ = np.linalg.qr(a @ z)
     ub, s, vh = np.linalg.svd(q.conj().T @ a, full_matrices=False)
     return q @ ub, s, vh
+
+
+def _gaussian_sketch(rng: random.Random, shape) -> np.ndarray:
+    """Standard normal draws of the given shape from ``rng``'s bytes: pairs
+    of 53-bit uniforms ``(u, v)`` in ``(0, 1]`` give the Box-Muller pair
+    ``sqrt(-2 ln u) (cos 2 pi v, sin 2 pi v)``."""
+    size = math.prod(shape)
+    bits = np.frombuffer(rng.randbytes(8 * (size + size % 2)), dtype="<u8") >> np.uint64(11)
+    u, v = (bits.reshape(2, -1) + 1.0) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u))
+    angle = 2.0 * np.pi * v
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +832,9 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
     with ``f`` recovered by cumulative trapezoid quadrature (``f(lo,.) = 0``).
     The result is tabulated on the grid rectangle: the kernel returns the
     table at tabulation nodes and interpolates bicubically between them
-    (the spline is built on the first off-node call). Raises
+    (the spline is built on the first off-node call). On the full node
+    grid, ``w(x[:, None], y[None, :])``, it returns the stored table
+    itself, which is read-only. Raises
     :class:`RiccatiBlowupError` if ``|g|`` exceeds 1e6, reporting the
     blow-up location.
     """
@@ -855,13 +872,17 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
         g = g_next
     np.exp(values, out=values)
     _require_finite("riccati", values, x, y)
+    values.setflags(write=False)
 
     spline = None
 
     def w(xv, yv):
         nonlocal spline
-        # nodes are looked up on each argument's own shape, before broadcasting
         xa, ya = np.asarray(xv, dtype=float), np.asarray(yv, dtype=float)
+        if np.array_equal(xa, x[:, None]) and np.array_equal(ya, y[None, :]):
+            # the full node grid: the table itself, not a copy of it
+            return values
+        # nodes are looked up on each argument's own shape, before broadcasting
         i = np.minimum(np.searchsorted(x, xa), grid.n - 1)
         j = np.minimum(np.searchsorted(y, ya), grid.n - 1)
         if np.array_equal(x[i], xa) and np.array_equal(y[j], ya):

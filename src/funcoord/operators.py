@@ -95,22 +95,29 @@ def to_matrix(op: LocalOperator, grid: Grid) -> OperatorMatrix:
 
 
 def conjugate(
-    A: OperatorMatrix, W: OperatorMatrix, threshold: float = 1.0e-10
+    A: Union[OperatorMatrix, np.ndarray], W: OperatorMatrix, threshold: float = 1.0e-10
 ) -> OperatorMatrix:
     """Coordinate-transformed operator ``invert(W) A W``, with the
-    regularized inverse applied in factored form.
+    regularized inverse applied in factored form. ``A`` may also be given
+    as a 1-D array, the diagonal of a multiplication operator, which is
+    applied as a scaling and never formed as a matrix.
 
     The regularized inverse's :class:`ConditionReport` is attached to the
     result's ``condition`` field — always inspect it: a truncated rank
     means the conjugation is only determined on the resolved subspace.
     """
-    if A.n != W.n:
-        raise DomainError(f"dimension mismatch: A is {A.n}, W is {W.n}")
+    if isinstance(A, OperatorMatrix):
+        if A.n != W.n:
+            raise DomainError(f"dimension mismatch: A is {A.n}, W is {W.n}")
+        a, grid = A.entries, A.grid or W.grid
+    else:
+        a, grid = np.asarray(A), W.grid
+        if a.shape != (W.n,):
+            raise DomainError(f"diagonal of A has shape {a.shape}, expected ({W.n},)")
     # V_r (s_r^-1 ((U_r^H A) W)): every product but the last has only r rows
     u, s, vh, report = _truncated_svd(W.entries, threshold)
-    out = OperatorMatrix(
-        vh.conj().T @ ((u.conj().T @ A.entries @ W.entries) / s[:, None]), A.grid or W.grid
-    )
+    left = u.conj().T @ a if a.ndim == 2 else u.conj().T * a
+    out = OperatorMatrix(vh.conj().T @ ((left @ W.entries) / s[:, None]), grid)
     out.condition = report
     return out
 

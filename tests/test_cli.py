@@ -263,6 +263,12 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, doc):
     assert repr(next(iter(doc))) in capsys.readouterr().err
 
 
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    assert run(["verify", "--suite", "theorem", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key", ["riccati.typo", "theorem.operator_residual", "nosuch.key"])
 def test_tolerance_override_that_no_suite_reads_is_config_error(tmp_path, capsys, key):
     # riccati has no residual 'typo', theorem takes no overrides, and
@@ -382,25 +388,41 @@ def test_dilation_kernel_takes_its_constant_from_the_config(tmp_path):
 
 def test_verify_never_imports_scipy(tmp_path):
     # scipy is loaded only by quadrature off the Gaussian and by off-node
-    # interpolation, which no default suite needs
+    # interpolation, which no default suite needs; seeded draws come from
+    # the standard library, so numpy.random (and the hashlib that its
+    # secrets import loads) stays out too
     script = (
         "import sys\n"
         "import funcoord.cli\n"
         "assert not [m for m in sys.modules if m.startswith('scipy')], 'import'\n"
         "code = funcoord.cli.main(sys.argv[1:])\n"
-        "assert not [m for m in sys.modules if m.startswith('scipy')], 'verify'\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'run'\n"
+        "loaded = [m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
         "sys.exit(code)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "verify", "--suite", "all", "--seed", "7",
-         "--out", str(tmp_path / "all")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    # at n = 512 the regularized inverse takes the sketched path
+    x = np.linspace(-6, 6, 512)
+    gf = make_gf_json(tmp_path, "smooth.json", {
+        "smooth": list(np.exp(-x**2)), "jumps": [], "singular": [],
+        "grid": {**GRID_DOC, "n": 512},
+    })
+    cases = {
+        "all": ["verify", "--suite", "all", "--seed", "7"],
+        "n512": ["verify", "--suite", "derivative", "--suite", "product", "--suite", "xdx",
+                 "--suite", "riccati", "--n", "512"],
+        "invert": ["transform", "--input", gf, "--kernel", "gaussian", "--invert"],
+    }
+    for name, argv in cases.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(tmp_path / name)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
 
 
 def test_format_and_threshold_are_read_where_they_apply(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Grid construction, quadrature, and differentiation matrices."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,20 @@ def test_distinct_keys_do_not_share_entries():
     for g, e in zip(grids, entries):
         build = grid_module._spectral_diff if g.periodic else grid_module._fd_diff
         assert np.array_equal(e, build(g, 1))
+
+
+def test_large_entries_are_freed_with_their_caller():
+    # one n = 512 matrix (2 MiB) exceeds the cache's byte bound: it is built
+    # for its caller and not kept once the caller drops it
+    entries = diff_matrix(make_uniform_grid(0.0, 1.0, 512, periodic=False), 1).entries
+    ref = weakref.ref(entries)
+    del entries
+    assert ref() is None
+    # smaller entries are kept only while their total fits the bound
+    for lo in range(4):
+        diff_matrix(make_uniform_grid(lo, lo + 1.0, 256, periodic=True), 1)
+    kept = sum(e.nbytes for e in grid_module._diff_cache.values())
+    assert 0 < kept <= grid_module._DIFF_CACHE_BYTES
 
 
 def test_verify_all_builds_each_differentiation_matrix_once(tmp_path, monkeypatch):

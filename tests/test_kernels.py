@@ -1,6 +1,7 @@
 """Kernel catalog, discretization, application, inversion, residuals."""
 
 import math
+import random
 from dataclasses import asdict
 
 import numpy as np
@@ -32,7 +33,14 @@ from funcoord import (
     translation_family,
 )
 from funcoord.grid import OperatorMatrix
-from funcoord.kernels import _banded_rows, _fd_radius, _sketched_svd, _truncated_svd, kernel_table
+from funcoord.kernels import (
+    _banded_rows,
+    _fd_radius,
+    _gaussian_sketch,
+    _sketched_svd,
+    _truncated_svd,
+    kernel_table,
+)
 
 
 def t_gauss_kernel():
@@ -269,6 +277,18 @@ def test_condition_report_round_trips():
     assert set(doc) == {"sigma_max", "sigma_min", "truncated", "rank"}
 
 
+@pytest.mark.parametrize("shape", [(512, 64), (7, 3)])
+def test_gaussian_sketch_is_seeded_standard_normal(shape):
+    draws = _gaussian_sketch(random.Random(3), shape)
+    assert draws.shape == shape and np.all(np.isfinite(draws))
+    assert np.array_equal(draws, _gaussian_sketch(random.Random(3), shape))
+    if draws.size > 1000:
+        # mean, variance and fourth moment of N(0, 1), within a few standard errors
+        assert abs(draws.mean()) < 0.02
+        assert abs(draws.var() - 1.0) < 0.03
+        assert abs(np.mean(draws**4) - 3.0) < 0.15
+
+
 def test_sketched_svd_keeps_the_exact_rank_and_sigmas():
     # the Gaussian's singular values fall below 1e-10 * sigma_max after a
     # few dozen, so a 64-column sketch resolves every one that is kept
@@ -422,6 +442,18 @@ def test_riccati_reproduces_separable_exponential():
     assert np.max(np.abs(table - np.exp(np.outer(g.nodes, g.nodes)))) < 1e-12
     _, norm = kernel_pde_residual(k, 2, 0, 1.0, y2, g, db=[lambda y: 2 * np.asarray(y)])
     assert norm < 1e-6
+
+
+def test_riccati_answers_the_full_node_grid_with_its_table():
+    g = make_uniform_grid(0.0, 1.0, 16, periodic=False)
+    k = riccati_kernel(1.0, lambda y: np.asarray(y) ** 2, lambda y: np.asarray(y), g)
+    x, y, table = k.table
+    assert k.eval(x[:, None], y[None, :]) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+    # any other on-node call is answered by lookup into the same table
+    assert np.array_equal(k.eval(x[::-1, None], y[None, :3]), table[::-1, :3])
+    assert k.eval(x[2], y[5]) == table[2, 5]
 
 
 def test_riccati_zero_data_gives_unit_kernel():

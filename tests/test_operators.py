@@ -103,6 +103,21 @@ def test_conjugate_by_gaussian_preserves_derivative():
     assert np.max(np.abs(out.entries - a.entries)) < 1e-6
 
 
+@pytest.mark.parametrize("n", [64, 512])
+def test_conjugate_applies_a_diagonal_as_a_scaling(n):
+    # scaling by a equals the product with diag(a) entry for entry, on the
+    # exact (n = 64) and the sketched (n = 512) inverse alike
+    g = make_uniform_grid(-6.0, 6.0, n)
+    w = discretize(gaussian(), g)
+    a = g.nodes ** 2 + 1.0
+    scaled = conjugate(a, w)
+    formed = conjugate(OperatorMatrix(np.diag(a), g), w)
+    assert np.array_equal(scaled.entries, formed.entries)
+    assert scaled.grid is g and scaled.condition == formed.condition
+    with pytest.raises(DomainError):
+        conjugate(a[:-1], w)
+
+
 def test_conjugation_is_functorial():
     rng = np.random.default_rng(5)
     n = 16
