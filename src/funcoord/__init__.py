@@ -38,7 +38,6 @@ from .kernels import (
     dilation,
     discretize,
     exp_exp,
-    exp_family,
     fourier,
     gaussian,
     invert,
@@ -48,11 +47,9 @@ from .kernels import (
     translation_family,
 )
 from .operators import (
-    LocalOperator,
     Metric,
     conjugate,
     locality_score,
-    to_matrix,
     transform_metric,
 )
 from .theorems import (

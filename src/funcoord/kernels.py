@@ -11,7 +11,6 @@ matrix-vector product. The catalog covers:
 ``gaussian``         ``e^{-(x-y)^2}`` — the smoothing convolution used to
                      map generalized functions to smooth ones.
 ``translation``      ``f(x - y)`` for a user profile ``f``.
-``exp_family``       ``F(y) e^{-c(x) b(y)}``.
 ``exp_exp``          ``e^{x e^{+/- y}}``.
 ``multiplication``   ``a0(x) delta(x - y)`` — diagonal-only, never
                      evaluated pointwise.
@@ -51,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
 
 from .distributions import GeneralizedFunction
 from .errors import (
@@ -79,7 +77,6 @@ __all__ = [
     "fourier",
     "gaussian",
     "translation_family",
-    "exp_family",
     "exp_exp",
     "multiplication",
     "dilation",
@@ -212,10 +209,15 @@ def _as_coefficient(c) -> Callable:
 
 
 def _hermite(q: int, t):
-    """Physicists' Hermite polynomial ``H_q(t)``."""
-    coefs = np.zeros(q + 1)
-    coefs[q] = 1.0
-    return hermval(np.asarray(t, dtype=float), coefs)
+    """Physicists' Hermite polynomial ``H_q(t)`` by Clenshaw's backward
+    recurrence in numpy ``hermval``'s order (``0.0 - v`` included), so it
+    matches ``hermval`` bit for bit; the forward three-term recurrence
+    differs in the last bits from q = 3 on."""
+    x2 = 2.0 * np.asarray(t, dtype=float)
+    c0, c1 = (1.0, 0.0) if q == 0 else (0.0, 1.0)
+    for k in range(q - 1, 0, -1):
+        c0, c1 = 0.0 - c1 * (2 * k), c0 + c1 * x2
+    return c0 + c1 * x2
 
 
 # ---------------------------------------------------------------------------
@@ -314,36 +316,6 @@ def _translation(id: str, profile: Callable, reach: Optional[int], tail_integrab
         dy_order=reach,
         profile_n=profile,
         tail_integrable=tail_integrable,
-    )
-
-
-def exp_family(
-    F: Callable,
-    c: Callable,
-    b: Callable,
-    dF: Optional[Callable] = None,
-    dc: Optional[Callable] = None,
-    db: Optional[Callable] = None,
-) -> Kernel:
-    """Separable-exponent kernel ``F(y) e^{-c(x) b(y)}``.
-
-    First partials are analytic when the factor derivatives are supplied,
-    otherwise the finite-difference fallback handles them.
-    """
-    w = lambda x, y: F(np.asarray(y)) * np.exp(-c(np.asarray(x)) * b(np.asarray(y)))
-    # reach 1 on both axes, so these are only ever asked for q == 1
-    dxn = dyn = None
-    if dc is not None:
-        dxn = lambda x, y, q: -dc(np.asarray(x)) * b(np.asarray(y)) * w(x, y)
-    if dF is not None and db is not None:
-
-        def dyn(x, y, q):
-            x, y = np.asarray(x), np.asarray(y)
-            e = np.exp(-c(x) * b(y))
-            return (dF(y) - F(y) * c(x) * db(y)) * e
-
-    return Kernel(
-        id="exp_family", eval=w, dx_n=dxn, dy_n=dyn, dx_order=1, dy_order=1
     )
 
 

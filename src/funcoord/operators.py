@@ -1,8 +1,4 @@
-"""Local differential operators, conjugation, metric transforms, locality.
-
-A :class:`LocalOperator` is a finite list of (derivative order, coefficient
-function) terms — a variable-coefficient differential operator. Its matrix
-on a grid is built from the grid's differentiation matrices.
+"""Conjugation, metric transforms, locality.
 
 Changing coordinates by an integral kernel ``W`` conjugates operator
 matrices (``W^+ A W``) and transforms metrics (``W* G W``). Conjugation
@@ -19,79 +15,20 @@ the grid-level signature of locality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import DomainError, MetricDegeneracyError
-from .grid import Grid, OperatorMatrix, diff_matrix
-from .kernels import _as_coefficient, _truncated_svd
+from .grid import OperatorMatrix
+from .kernels import _truncated_svd
 
 __all__ = [
-    "LocalOperator",
     "Metric",
-    "to_matrix",
     "conjugate",
     "transform_metric",
     "locality_score",
 ]
-
-#: maximum differential order of a LocalOperator
-MAX_LOCAL_ORDER = 4
-
-Coefficient = Union[float, Callable]
-
-
-@dataclass(frozen=True)
-class LocalOperator:
-    """Differential operator ``sum_q a_q(x) d^q/dx^q``.
-
-    ``terms`` maps derivative orders to real coefficient functions of x
-    (constants allowed). At most one term per order; order <= 4.
-    """
-
-    terms: Tuple[Tuple[int, Coefficient], ...]
-
-    def __init__(self, terms: Sequence[Tuple[int, Coefficient]]):
-        seen = set()
-        normalized = []
-        for q, a in terms:
-            q = int(q)
-            if q < 0:
-                raise DomainError(f"derivative order must be >= 0, got {q}")
-            if q > MAX_LOCAL_ORDER:
-                raise DomainError(
-                    f"local operators support order <= {MAX_LOCAL_ORDER}, got {q}"
-                )
-            if q in seen:
-                raise DomainError(f"duplicate term for derivative order {q}")
-            seen.add(q)
-            normalized.append((q, a))
-        if not normalized:
-            raise DomainError("operator needs at least one term")
-        normalized.sort(key=lambda t: t[0])
-        object.__setattr__(self, "terms", tuple(normalized))
-
-    @property
-    def order(self) -> int:
-        return self.terms[-1][0]
-
-
-def to_matrix(op: LocalOperator, grid: Grid) -> OperatorMatrix:
-    """Assemble ``sum_q diag(a_q(x_i)) D_q`` on the grid (q = 0 is plain
-    multiplication by ``a_0``). Coefficients must be real: a complex one
-    raises :class:`DomainError`."""
-    total = np.zeros((grid.n, grid.n))
-    for q, a in op.terms:
-        values = np.asarray(_as_coefficient(a)(grid.nodes))
-        if np.iscomplexobj(values):
-            raise DomainError(f"coefficient of order {q} is complex; local operators are real")
-        coeff = np.asarray(values, dtype=float) * np.ones(grid.n)
-        if q == 0:
-            total += np.diag(coeff)
-        else:
-            total += coeff[:, None] * diff_matrix(grid, q).entries
-    return OperatorMatrix(total, grid)
 
 
 def conjugate(

@@ -390,14 +390,16 @@ def test_verify_never_imports_scipy(tmp_path):
     # scipy is loaded only by quadrature off the Gaussian and by off-node
     # interpolation, which no default suite needs; seeded draws come from
     # the standard library, so numpy.random (and the hashlib that its
-    # secrets import loads) stays out too
+    # secrets import loads) stays out too, as does numpy.polynomial, whose
+    # Hermite evaluation funcoord does itself
     script = (
         "import sys\n"
         "import funcoord.cli\n"
         "assert not [m for m in sys.modules if m.startswith('scipy')], 'import'\n"
         "code = funcoord.cli.main(sys.argv[1:])\n"
         "assert not [m for m in sys.modules if m.startswith('scipy')], 'run'\n"
-        "loaded = [m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules]\n"
+        "unwanted = ('numpy.random', 'secrets', 'hashlib', 'numpy.polynomial')\n"
+        "loaded = [m for m in unwanted if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "sys.exit(code)\n"
     )

@@ -22,7 +22,6 @@ from funcoord import (
     dilation,
     discretize,
     exp_exp,
-    exp_family,
     fourier,
     gaussian,
     invert,
@@ -37,6 +36,7 @@ from funcoord.kernels import (
     _banded_rows,
     _fd_radius,
     _gaussian_sketch,
+    _hermite,
     _sketched_svd,
     _truncated_svd,
     kernel_table,
@@ -69,6 +69,15 @@ def test_gaussian_matrix_symmetric_after_unweighting(wide_grid):
     assert np.max(np.abs(values - values.T)) < 1e-14
 
 
+def test_hermite_matches_numpy_hermval_bit_for_bit():
+    from numpy.polynomial.hermite import hermval
+
+    t = np.linspace(-8.0, 8.0, 200_001)
+    for q in range(10):
+        expected = hermval(t, np.eye(q + 1)[q])
+        assert np.array_equal(_hermite(q, t).view(np.uint64), expected.view(np.uint64)), q
+
+
 def test_multiplication_kernel_is_plain_diagonal(wide_grid):
     a0 = lambda t: np.asarray(t) ** 2 + 1.0
     w = discretize(multiplication(a0), wide_grid)
@@ -98,8 +107,12 @@ def test_dilation_equals_multiplication_by_the_constant(wide_grid):
 
 def test_exp_family_second_x_partial_beyond_its_reach():
     # w = (1 + y^2) e^{-sin(x) y}; only the first x-partial is analytic
-    k = exp_family(
-        lambda y: 1.0 + np.asarray(y) ** 2, np.sin, lambda y: np.asarray(y), dc=np.cos
+    value = lambda x, y: (1.0 + np.asarray(y) ** 2) * np.exp(-np.sin(x) * np.asarray(y))
+    k = Kernel(
+        id="separable_exponent",
+        eval=value,
+        dx_n=lambda x, y, q: -np.cos(x) * np.asarray(y) * value(x, y),
+        dx_order=1,
     )
     x = np.linspace(-1.0, 1.0, 9)
     y = np.linspace(-1.0, 1.0, 9)[::-1]
@@ -367,12 +380,17 @@ def test_residual_translation_kernel_identically_zero():
 
 
 def test_residual_separable_exponent_family():
-    # c'(x) = 1/a(x) solves the first-order multiplication form
+    # w = e^{-c(x) y} with c'(x) = 1/a(x) solves the first-order
+    # multiplication form
     g = make_uniform_grid(0.0, 1.0, 16, periodic=False)
-    F = lambda y: np.ones(np.shape(y))
-    c = np.arctan
     b = lambda y: np.asarray(y)
-    k = exp_family(F, c, b, dc=lambda x: 1.0 / (1.0 + np.asarray(x) ** 2))
+    w = lambda x, y: np.exp(-np.arctan(x) * np.asarray(y))
+    k = Kernel(
+        id="separable_exponent",
+        eval=w,
+        dx_n=lambda x, y, q: -(1.0 / (1.0 + np.asarray(x) ** 2)) * np.asarray(y) * w(x, y),
+        dx_order=1,
+    )
     a = lambda x: 1.0 + np.asarray(x) ** 2
     _, norm = kernel_pde_residual(k, 1, 0, a, b, g)
     assert norm < 1e-12
@@ -407,12 +425,14 @@ def test_banded_rows_equal_the_matrix_product(q, periodic):
 
 
 def test_residual_row_blocks_match_the_dense_formula():
-    # exp_family without supplied derivatives takes finite differences on
-    # both axes; n = 200 splits the field into several row blocks
+    # a kernel without analytic partials takes finite differences on both
+    # axes; n = 200 splits the field into several row blocks
     g = make_uniform_grid(0.0, 1.0, 200, periodic=False)
     yg = make_uniform_grid(-1.0, 1.0, 150, periodic=False)
-    F = lambda y: 1.0 + 0.5 * np.asarray(y) ** 2
-    k = exp_family(F, lambda x: np.asarray(x), lambda y: np.sin(np.asarray(y)))
+    k = Kernel(
+        id="separable_exponent",
+        eval=lambda x, y: (1.0 + 0.5 * np.asarray(y) ** 2) * np.exp(-x * np.sin(y)),
+    )
     a = lambda x: 1.0 + np.asarray(x)
     b = lambda y: np.cos(np.asarray(y))
     field, norm = kernel_pde_residual(k, 2, 1, a, b, g, y_grid=yg)

@@ -1,4 +1,4 @@
-"""Operator assembly, conjugation, metric transforms, locality scoring."""
+"""Conjugation, metric transforms, locality scoring."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from funcoord import (
     DomainError,
-    LocalOperator,
     Metric,
     MetricDegeneracyError,
     conjugate,
@@ -19,7 +18,6 @@ from funcoord import (
     locality_score,
     make_uniform_grid,
     multiplication,
-    to_matrix,
     transform_metric,
 )
 from funcoord.grid import OperatorMatrix, derivative_symbol
@@ -34,44 +32,6 @@ def random_well_conditioned(rng, n, spread=(0.5, 2.0)):
 def random_spd(rng, n):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q @ np.diag(rng.uniform(0.5, 2.0, n)) @ q.T
-
-
-def test_local_operator_validation():
-    with pytest.raises(DomainError):
-        LocalOperator([(1, 1.0), (1, 2.0)])
-    with pytest.raises(DomainError):
-        LocalOperator([(5, 1.0)])
-    with pytest.raises(DomainError):
-        LocalOperator([])
-    assert LocalOperator([(2, 1.0), (0, 3.0)]).order == 2
-
-
-def test_to_matrix_multiplication_term():
-    g = make_uniform_grid(-1.0, 1.0, 16, periodic=False)
-    a0 = lambda x: np.asarray(x) ** 2 + 1.0
-    m = to_matrix(LocalOperator([(0, a0)]), g)
-    assert_allclose(m.entries, np.diag(a0(g.nodes)), atol=0)
-
-
-def test_to_matrix_first_derivative():
-    g = make_uniform_grid(0.0, 2 * np.pi, 32, periodic=True)
-    m = to_matrix(LocalOperator([(1, 1.0)]), g)
-    out = m.entries @ np.sin(g.nodes)
-    assert np.max(np.abs(out - np.cos(g.nodes))) < 1e-10
-
-
-def test_to_matrix_variable_coefficient_derivative():
-    g = make_uniform_grid(0.0, 2 * np.pi, 32, periodic=True)
-    m = to_matrix(LocalOperator([(1, lambda x: np.asarray(x))]), g)
-    out = m.entries @ np.sin(g.nodes)
-    assert np.max(np.abs(out - g.nodes * np.cos(g.nodes))) < 1e-9
-
-
-def test_to_matrix_rejects_complex_coefficients():
-    g = make_uniform_grid(0.0, 2 * np.pi, 16, periodic=True)
-    for a in (1j, lambda x: 1j * np.asarray(x)):
-        with pytest.raises(DomainError, match="order 1"):
-            to_matrix(LocalOperator([(0, 1.0), (1, a)]), g)
 
 
 def test_conjugate_by_identity_is_identity():
