@@ -44,6 +44,7 @@ from .grid import Grid, csv_blocks, csv_text, make_uniform_grid
 from .kernels import (
     Kernel,
     _as_coefficient,
+    _translation,
     _truncated_svd,
     apply,
     dilation,
@@ -54,7 +55,6 @@ from .kernels import (
     kernel_pde_residual,
     multiplication,
     riccati_kernel,
-    translation_family,
 )
 from .theorems import (
     DERIVATIVE_TOLERANCES,
@@ -95,34 +95,39 @@ class ConfigError(FuncoordError, ValueError):
 
 @dataclass(frozen=True)
 class NamedCoefficient:
-    """Registry coefficient: callable plus its analytic derivatives."""
+    """Registry coefficient: callable plus its analytic derivative of every
+    order, ``derivative(q)`` for ``q >= 1``."""
 
     name: str
     fn: Callable
-    derivs: Tuple[Callable, ...]
+    derivative: Callable[[int], Callable]
 
+
+def _polynomial(name: str, fn: Callable, *derivs: Callable) -> NamedCoefficient:
+    """A polynomial coefficient: ``derivs`` up to its degree, zero past it."""
+    zero = _as_coefficient(0.0)
+    return NamedCoefficient(name, fn, lambda q: derivs[q - 1] if q <= len(derivs) else zero)
+
+
+_ident = lambda t: np.asarray(t, dtype=float)
+_exp_minus = lambda t: np.exp(-np.asarray(t, dtype=float))
 
 COEFFICIENTS: Dict[str, NamedCoefficient] = {
     c.name: c
     for c in [
-        NamedCoefficient("1", _as_coefficient(1.0),
-                         (_as_coefficient(0.0), _as_coefficient(0.0))),
-        NamedCoefficient("x", lambda t: np.asarray(t, dtype=float),
-                         (_as_coefficient(1.0), _as_coefficient(0.0))),
-        NamedCoefficient("x^2", lambda t: np.asarray(t, dtype=float) ** 2,
-                         (lambda t: 2.0 * np.asarray(t, dtype=float), _as_coefficient(2.0))),
-        NamedCoefficient("y", lambda t: np.asarray(t, dtype=float),
-                         (_as_coefficient(1.0), _as_coefficient(0.0))),
-        NamedCoefficient("y^2", lambda t: np.asarray(t, dtype=float) ** 2,
-                         (lambda t: 2.0 * np.asarray(t, dtype=float), _as_coefficient(2.0))),
-        NamedCoefficient("e^y", np.exp, (np.exp, np.exp)),
-        NamedCoefficient("e^-y", lambda t: np.exp(-np.asarray(t, dtype=float)),
-                         (lambda t: -np.exp(-np.asarray(t, dtype=float)),
-                          lambda t: np.exp(-np.asarray(t, dtype=float)))),
-        NamedCoefficient("-iy", lambda t: -1j * np.asarray(t, dtype=float),
-                         (_as_coefficient(-1j), _as_coefficient(0.0))),
-        NamedCoefficient("-y^2", lambda t: -(np.asarray(t, dtype=float) ** 2),
-                         (lambda t: -2.0 * np.asarray(t, dtype=float), _as_coefficient(-2.0))),
+        _polynomial("1", _as_coefficient(1.0)),
+        _polynomial("x", _ident, _as_coefficient(1.0)),
+        _polynomial("x^2", lambda t: _ident(t) ** 2,
+                    lambda t: 2.0 * _ident(t), _as_coefficient(2.0)),
+        _polynomial("y", _ident, _as_coefficient(1.0)),
+        _polynomial("y^2", lambda t: _ident(t) ** 2,
+                    lambda t: 2.0 * _ident(t), _as_coefficient(2.0)),
+        NamedCoefficient("e^y", np.exp, lambda q: np.exp),
+        NamedCoefficient("e^-y", _exp_minus,
+                         lambda q: _exp_minus if q % 2 == 0 else lambda t: -_exp_minus(t)),
+        _polynomial("-iy", lambda t: -1j * _ident(t), _as_coefficient(-1j)),
+        _polynomial("-y^2", lambda t: -(_ident(t) ** 2),
+                    lambda t: -2.0 * _ident(t), _as_coefficient(-2.0)),
     ]
 }
 
@@ -136,11 +141,12 @@ def _coefficient(name: str) -> NamedCoefficient:
 
 
 def _translation_tgauss() -> Kernel:
-    # profile t*exp(-t^2) with analytic derivatives
-    f = lambda t: t * np.exp(-(t**2))
-    d1 = lambda t: (1.0 - 2.0 * t**2) * np.exp(-(t**2))
-    d2 = lambda t: (4.0 * t**3 - 6.0 * t) * np.exp(-(t**2))
-    return translation_family(f, [d1, d2], tail_integrable=True, id="translation_tgauss")
+    # t e^{-t^2} = -1/2 d/dt e^{-t^2}: the Gaussian profile one order up,
+    # analytic at every order, with antiderivatives for the jump images
+    gauss = gaussian().profile_n
+    return _translation(
+        "translation_tgauss", lambda t, q=0: -0.5 * gauss(t, q + 1), None, tail_integrable=True
+    )
 
 
 #: kernel id -> (factory taking the parameters as keywords, {parameter: type})
@@ -395,9 +401,7 @@ def _suite_riccati(config: RunConfig, grid: Grid) -> List[VerificationReport]:
         from .kernels import table_blocks
 
         _write_text(Path(config.out) / "riccati_table.csv", table_blocks(kernel))
-    _, max_norm = kernel_pde_residual(
-        kernel, 2, 0, 1.0, y2.fn, grid, db=y2.derivs
-    )
+    _, max_norm = kernel_pde_residual(kernel, 2, 0, 1.0, y2.fn, grid)
     return [
         VerificationReport.build(
             name="riccati_second_order",
@@ -559,9 +563,8 @@ def cmd_residual(config: RunConfig, n: int, m: int) -> int:
     kernel = config.make_kernel()
     a = COEFFICIENTS[config.a]
     b = COEFFICIENTS[config.b]
-    field_, max_norm = kernel_pde_residual(
-        kernel, n, m, a.fn, b.fn, grid, db=b.derivs
-    )
+    db = [b.derivative(q) for q in range(1, m + 1)]
+    field_, max_norm = kernel_pde_residual(kernel, n, m, a.fn, b.fn, grid, db=db)
     out = Path(config.out)
     if "csv" in config.formats:
         _write_text(

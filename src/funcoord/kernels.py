@@ -25,9 +25,11 @@ Nystrom table (quadrature weights absorbed into the columns), checked for
 non-finite entries.
 
 Application integrates the declared jumps of a generalized function
-exactly: in closed form for the Gaussian (repeated erfc integrals, which
-its profile gives at negative orders) and by adaptive quadrature for every
-other kernel. scipy is imported only where that quadrature or an
+exactly: in closed form for translation kernels whose profile has
+antiderivatives (the Gaussian's repeated erfc integrals, which its profile
+gives at negative orders, and ``t e^{-t^2}``, which is -1/2 the Gaussian's
+derivative) and by one vector-valued adaptive quadrature per jump for
+every other kernel. scipy is imported only where that quadrature or an
 off-node interpolation runs.
 
 Inversion is always regularized (truncated SVD, by a randomized range
@@ -471,21 +473,13 @@ def discretize(kernel: Kernel, grid: Grid) -> OperatorMatrix:
     return OperatorMatrix(kernel_table(kernel, grid.nodes, grid), grid)
 
 
-def quad(fn, lo, hi, **options):
-    """scipy's adaptive ``quad``, imported on first use so that importing
-    funcoord does not load scipy."""
-    from scipy.integrate import quad as adaptive_quad
+def quad(fn, lo, hi):
+    """scipy's adaptive ``quad_vec`` of a vector-valued (real or complex)
+    ``fn`` over ``[lo, hi]``, its error taken in the max norm; imported on
+    first use so that importing funcoord does not load scipy."""
+    from scipy.integrate import quad_vec
 
-    return adaptive_quad(fn, lo, hi, **options)
-
-
-def _quad(fn, lo, hi, complex_valued):
-    if complex_valued:
-        re, _ = quad(lambda t: fn(t).real, lo, hi, limit=200)
-        im, _ = quad(lambda t: fn(t).imag, lo, hi, limit=200)
-        return re + 1j * im
-    val, _ = quad(fn, lo, hi, limit=200)
-    return val
+    return quad_vec(fn, lo, hi, norm="max")
 
 
 def _jump_image(kernel: Kernel, x: np.ndarray, x0: float, order: int, hi: float):
@@ -495,8 +489,8 @@ def _jump_image(kernel: Kernel, x: np.ndarray, x0: float, order: int, hi: float)
     For a translation kernel ``f(x - t)`` integrated to +infinity this is,
     by Cauchy's formula for repeated integration, the (order+1)-fold
     antiderivative of ``f`` at ``x - x0``: the profile at a negative order,
-    where the profile supports one. Otherwise one adaptive quadrature runs
-    per point.
+    where the profile supports one. Otherwise one adaptive quadrature
+    integrates the vector of all points at once.
     """
     if kernel.tail_integrable and kernel.profile_n is not None:
         try:
@@ -505,10 +499,8 @@ def _jump_image(kernel: Kernel, x: np.ndarray, x0: float, order: int, hi: float)
             pass
     upper = np.inf if kernel.tail_integrable else hi
     fact = math.factorial(order)
-    return np.array([
-        _quad(lambda t: kernel.eval(xi, t) * (t - x0) ** order / fact, x0, upper, kernel.is_complex)
-        for xi in x
-    ])
+    image, _ = quad(lambda t: kernel.eval(x, t) * (t - x0) ** order / fact, x0, upper)
+    return image
 
 
 def apply(
@@ -523,9 +515,10 @@ def apply(
     * each declared jump ``(x0, k, h)`` contributes the exact integral
       ``h * int_{x0} w(x, y) (y - x0)^k / k! dy`` (extended to +infinity
       for kernels with integrable tails, truncated at ``grid.hi``
-      otherwise): in closed form for the Gaussian, whose profile has
-      repeated erfc integrals as antiderivatives, and by adaptive
-      quadrature for every other kernel;
+      otherwise): in closed form for the Gaussian and ``t e^{-t^2}``
+      translation kernels, whose profiles have antiderivatives (repeated
+      erfc integrals), and by one vector-valued adaptive quadrature over
+      all output points for every other kernel;
     * each delta term contributes ``a * (-1)^q * d^q/dy^q w(x, x0)``.
 
     ``out_nodes`` selects evaluation points other than the grid nodes

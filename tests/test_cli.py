@@ -197,6 +197,16 @@ def test_residual_fourier_second_order_squared_coefficient(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["max_norm"] < 1e-8
 
 
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("kernel", ["gaussian", "translation_tgauss"])
+def test_residual_of_a_translation_kernel_vanishes_at_high_orders(tmp_path, capsys, kernel, order):
+    # w_x^(n) = (-1)^n w_y^(n) for w(x - y); with b = 1 differentiated
+    # exactly (zero, not finite differences of a constant) nothing is left
+    assert run(["residual", str(order), str(order), "--kernel", kernel,
+                "--out", str(tmp_path / "res")]) == 0
+    assert json.loads(capsys.readouterr().out)["max_norm"] <= 1e-12
+
+
 def test_residual_unknown_coefficient(tmp_path):
     assert run(["residual", "1", "1", "--kernel", "gaussian", "--a", "nope",
                 "--out", str(tmp_path / "res")]) == 2
@@ -387,11 +397,12 @@ def test_dilation_kernel_takes_its_constant_from_the_config(tmp_path):
 
 
 def test_verify_never_imports_scipy(tmp_path):
-    # scipy is loaded only by quadrature off the Gaussian and by off-node
-    # interpolation, which no default suite needs; seeded draws come from
-    # the standard library, so numpy.random (and the hashlib that its
-    # secrets import loads) stays out too, as does numpy.polynomial, whose
-    # Hermite evaluation funcoord does itself
+    # scipy is loaded only by quadrature of jumps under kernels without
+    # closed-form images and by off-node interpolation, which no default
+    # suite needs; seeded draws come from the standard library, so
+    # numpy.random (and the hashlib that its secrets import loads) stays
+    # out too, as does numpy.polynomial, whose Hermite evaluation funcoord
+    # does itself
     script = (
         "import sys\n"
         "import funcoord.cli\n"
@@ -413,11 +424,18 @@ def test_verify_never_imports_scipy(tmp_path):
         "smooth": list(np.exp(-x**2)), "jumps": [], "singular": [],
         "grid": {**GRID_DOC, "n": 512},
     })
+    # the jumps of t e^{-t^2} have closed-form images, like the Gaussian's
+    x = np.linspace(-6, 6, 64)
+    step = make_gf_json(tmp_path, "step.json", {
+        "smooth": list(np.where(x > 0.5, 1.0, 0.0)), "jumps": [[0.5, 1.0]], "singular": [],
+        "grid": GRID_DOC,
+    })
     cases = {
         "all": ["verify", "--suite", "all", "--seed", "7"],
         "n512": ["verify", "--suite", "derivative", "--suite", "product", "--suite", "xdx",
                  "--suite", "riccati", "--n", "512"],
         "invert": ["transform", "--input", gf, "--kernel", "gaussian", "--invert"],
+        "tgauss_step": ["transform", "--input", step, "--kernel", "translation_tgauss"],
     }
     for name, argv in cases.items():
         proc = subprocess.run(

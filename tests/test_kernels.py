@@ -31,12 +31,14 @@ from funcoord import (
     riccati_kernel,
     translation_family,
 )
+from funcoord.cli import _translation_tgauss
 from funcoord.grid import OperatorMatrix
 from funcoord.kernels import (
     _banded_rows,
     _fd_radius,
     _gaussian_sketch,
     _hermite,
+    _jump_image,
     _sketched_svd,
     _truncated_svd,
     kernel_table,
@@ -215,6 +217,58 @@ def test_translation_profile_rejects_negative_orders():
     # derivative list from the end
     with pytest.raises(UnsupportedOrderError):
         t_gauss_kernel().profile_n(0.3, -1)
+
+
+def _per_node_jump_image(kernel, x, x0, order, upper):
+    """Reference: one scalar scipy quad per node, real and imaginary parts
+    apart, at tolerances far below the tested bound."""
+    from scipy.integrate import quad
+
+    def part(xi, take):
+        fn = lambda t: take(kernel.eval(xi, t) * (t - x0) ** order) / math.factorial(order)
+        return quad(fn, x0, upper, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+
+    return np.array([part(xi, np.real) + 1j * part(xi, np.imag) for xi in x])
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("case", ["fourier", "exp_exp", "tail"])
+def test_jump_image_quadrature_matches_per_node_quad(case, order):
+    # one vector-valued quad_vec over all nodes against scalar quad per node:
+    # complex (fourier), to hi (exp_exp) and to +inf (an integrable tail
+    # without antiderivatives)
+    kernel, grid, x0 = {
+        "fourier": (fourier(), make_uniform_grid(0.0, 2 * np.pi, 64, periodic=True), 1.3),
+        "exp_exp": (exp_exp(-1), make_uniform_grid(0.0, 1.0, 64), 0.37),
+        "tail": (translation_family(lambda t: np.cos(t) * np.exp(-(t**2)), tail_integrable=True),
+                 make_uniform_grid(-6.0, 6.0, 64), -0.8),
+    }[case]
+    image = _jump_image(kernel, grid.nodes, x0, order, grid.hi)
+    nodes = grid.nodes[::9]
+    upper = np.inf if kernel.tail_integrable else grid.hi
+    expected = _per_node_jump_image(kernel, nodes, x0, order, upper)
+    assert np.max(np.abs(image[::9] - expected)) <= 1e-10 * (1.0 + np.max(np.abs(image)))
+
+
+def test_tgauss_profile_equals_the_hand_written_derivatives_bit_for_bit():
+    # -1/2 of the Gaussian profile one order up is t e^{-t^2} and its first
+    # derivative in the same floating-point values as the closed forms
+    t = np.linspace(-8.0, 8.0, 200001)
+    for q in (0, 1):
+        assert np.array_equal(_translation_tgauss().profile_n(t, q), t_gauss_kernel().profile_n(t, q))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_tgauss_jump_images_are_closed_form(order, monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr("funcoord.kernels.quad", no_quadrature)
+    kernel, x0 = _translation_tgauss(), -1.1167562286272599
+    x = np.linspace(-6.0, 6.0, 64)[::7]
+    image = _jump_image(kernel, x, x0, order, 6.0)
+    expected = np.real(_per_node_jump_image(kernel, x, x0, order, np.inf))
+    assert np.max(np.abs(image - expected)) <= 1e-10 * (1.0 + np.max(np.abs(image)))
 
 
 def test_apply_is_linear(wide_grid):

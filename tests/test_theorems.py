@@ -293,9 +293,9 @@ def test_nonlinear_tensor_rejects_multiplication_kernel():
 
 
 def test_reports_are_bit_identical_across_runs():
-    first = check_fourier_diagonalizes(fourier_grid(32)).to_json()
-    second = check_fourier_diagonalizes(fourier_grid(32)).to_json()
+    first = check_fourier_diagonalizes(fourier_grid(32)).to_dict()
+    second = check_fourier_diagonalizes(fourier_grid(32)).to_dict()
     assert first == second
-    suite_a = theorem_property_suite(count=10, seed=3).to_json()
-    suite_b = theorem_property_suite(count=10, seed=3).to_json()
+    suite_a = theorem_property_suite(count=10, seed=3).to_dict()
+    suite_b = theorem_property_suite(count=10, seed=3).to_dict()
     assert suite_a == suite_b
