@@ -44,7 +44,7 @@ from .kernels import (
     kernel_pde_residual,
     multiplication,
     riccati_kernel,
-    translation_family,
+    translation_tgauss,
 )
 from .operators import (
     Metric,

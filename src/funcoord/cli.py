@@ -44,7 +44,6 @@ from .grid import Grid, csv_blocks, csv_text, make_uniform_grid
 from .kernels import (
     Kernel,
     _as_coefficient,
-    _translation,
     _truncated_svd,
     apply,
     dilation,
@@ -55,6 +54,7 @@ from .kernels import (
     kernel_pde_residual,
     multiplication,
     riccati_kernel,
+    translation_tgauss,
 )
 from .theorems import (
     DERIVATIVE_TOLERANCES,
@@ -140,15 +140,6 @@ def _coefficient(name: str) -> NamedCoefficient:
     return COEFFICIENTS[name]
 
 
-def _translation_tgauss() -> Kernel:
-    # t e^{-t^2} = -1/2 d/dt e^{-t^2}: the Gaussian profile one order up,
-    # analytic at every order, with antiderivatives for the jump images
-    gauss = gaussian().profile_n
-    return _translation(
-        "translation_tgauss", lambda t, q=0: -0.5 * gauss(t, q + 1), None, tail_integrable=True
-    )
-
-
 #: kernel id -> (factory taking the parameters as keywords, {parameter: type})
 KERNELS: Dict[str, Tuple[Callable, Dict[str, type]]] = {
     "gaussian": (gaussian, {}),
@@ -158,7 +149,7 @@ KERNELS: Dict[str, Tuple[Callable, Dict[str, type]]] = {
     "multiplication": (lambda a0="1": multiplication(_coefficient(a0).fn), {"a0": str}),
     "exp_exp_plus": (lambda: exp_exp(+1), {}),
     "exp_exp_minus": (lambda: exp_exp(-1), {}),
-    "translation_tgauss": (_translation_tgauss, {}),
+    "translation_tgauss": (translation_tgauss, {}),
 }
 
 
@@ -341,9 +332,7 @@ def _suite_derivative(config: RunConfig, grid: Grid) -> List[VerificationReport]
     tol = config.suite_tolerances("derivative") or None
     return [
         check_derivative_preservation(gaussian(), grid, tolerances=tol),
-        check_derivative_preservation(
-            _translation_tgauss(), grid, tolerances=tol
-        ),
+        check_derivative_preservation(translation_tgauss(), grid, tolerances=tol),
     ]
 
 

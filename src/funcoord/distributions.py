@@ -18,7 +18,8 @@ jump, order 1 a slope kink, ...). Declared structure is what lets
 :func:`differentiate` emit the correct delta terms instead of finite-
 differencing across a discontinuity, and lets kernel application integrate
 the discontinuous piece exactly. Detecting jumps numerically from samples
-is deliberately out of scope.
+is deliberately out of scope. Periodic grids take no jumps: a jump's image
+is integrated on the line, which the periodized kernel table does not match.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ __all__ = [
     "apply_constant_coeff_operator",
 ]
 
-#: default cap on delta-derivative orders
+#: cap on delta-derivative orders
 DEFAULT_ORDER_CAP = 8
 
 
@@ -86,19 +87,18 @@ class GeneralizedFunction:
         Samples of the regular part on ``grid.nodes``.
     singular : sequence of SingularTerm
         Canonicalized on construction: terms with identical ``(x0, q)``
-        merge, exact-zero weights drop.
+        merge, exact-zero weights drop; orders above
+        :data:`DEFAULT_ORDER_CAP` raise :class:`UnsupportedOrderError`.
     jumps : sequence of (x0, order, height)
         Declared discontinuities of the smooth part (see module docstring).
-        Pairs ``(x0, height)`` are accepted and mean ``order = 0``.
-    order_cap : int
-        Maximum allowed delta-derivative order.
+        Pairs ``(x0, height)`` are accepted and mean ``order = 0``. A
+        periodic grid takes none.
     """
 
     grid: Grid
     smooth: Optional[np.ndarray] = None
     singular: tuple = ()
     jumps: tuple = ()
-    order_cap: int = DEFAULT_ORDER_CAP
 
     def __post_init__(self):
         if self.smooth is not None:
@@ -112,7 +112,7 @@ class GeneralizedFunction:
             if not isinstance(t, SingularTerm):
                 t = SingularTerm(float(t[0]), int(t[1]), float(t[2]))
             terms.append(t)
-        object.__setattr__(self, "singular", _canonical_terms(terms, self.order_cap))
+        object.__setattr__(self, "singular", _canonical_terms(terms))
         jumps = []
         for j in self.jumps:
             if len(j) == 2:
@@ -124,6 +124,8 @@ class GeneralizedFunction:
             jumps.append((x0, order, height))
         if jumps and self.smooth is None:
             raise DomainError("jump annotations require a smooth part")
+        if jumps and self.grid.periodic:
+            raise DomainError("jump annotations need a non-periodic grid")
         object.__setattr__(self, "jumps", _canonical_jumps(jumps))
         for x0 in [t.x0 for t in self.singular] + [j[0] for j in self.jumps]:
             if not (self.grid.lo < x0 < self.grid.hi):
@@ -161,7 +163,6 @@ class GeneralizedFunction:
             smooth=None if self.smooth is None else c * self.smooth,
             singular=[SingularTerm(t.x0, t.q, c * t.a) for t in self.singular],
             jumps=[(x0, order, c * h) for x0, order, h in self.jumps],
-            order_cap=self.order_cap,
         )
 
     def __add__(self, other: "GeneralizedFunction") -> "GeneralizedFunction":
@@ -178,7 +179,6 @@ class GeneralizedFunction:
             smooth=smooth,
             singular=list(self.singular) + list(other.singular),
             jumps=list(self.jumps) + list(other.jumps),
-            order_cap=max(self.order_cap, other.order_cap),
         )
 
     def __sub__(self, other: "GeneralizedFunction") -> "GeneralizedFunction":
@@ -226,12 +226,12 @@ def _same_grid(a: Grid, b: Grid) -> bool:
     )
 
 
-def _canonical_terms(terms, order_cap) -> tuple:
+def _canonical_terms(terms) -> tuple:
     merged: dict = {}
     for t in terms:
-        if t.q > order_cap:
+        if t.q > DEFAULT_ORDER_CAP:
             raise UnsupportedOrderError(
-                f"delta-derivative order {t.q} exceeds cap {order_cap}"
+                f"delta-derivative order {t.q} exceeds cap {DEFAULT_ORDER_CAP}"
             )
         key = (t.x0, t.q)
         merged[key] = merged.get(key, 0.0) + t.a
@@ -330,9 +330,9 @@ def differentiate(f: GeneralizedFunction) -> GeneralizedFunction:
     """
     new_singular = []
     for t in f.singular:
-        if t.q + 1 > f.order_cap:
+        if t.q + 1 > DEFAULT_ORDER_CAP:
             raise UnsupportedOrderError(
-                f"differentiation would exceed delta-order cap {f.order_cap}"
+                f"differentiation would exceed delta-order cap {DEFAULT_ORDER_CAP}"
             )
         new_singular.append(SingularTerm(t.x0, t.q + 1, t.a))
 
@@ -353,7 +353,6 @@ def differentiate(f: GeneralizedFunction) -> GeneralizedFunction:
         smooth=new_smooth,
         singular=new_singular,
         jumps=new_jumps,
-        order_cap=f.order_cap,
     )
 
 

@@ -10,15 +10,18 @@ matrix-vector product. The catalog covers:
                      scaling.
 ``gaussian``         ``e^{-(x-y)^2}`` — the smoothing convolution used to
                      map generalized functions to smooth ones.
-``translation``      ``f(x - y)`` for a user profile ``f``.
+``translation_tgauss``
+                     ``(x-y) e^{-(x-y)^2}`` — -1/2 the Gaussian's
+                     x-derivative.
 ``exp_exp``          ``e^{x e^{+/- y}}``.
 ``multiplication``   ``a0(x) delta(x - y)`` — diagonal-only, never
                      evaluated pointwise.
 ``dilation``         ``c delta(x - y)`` — a constant ``factor``.
 
-Partials come from one any-order callable per axis (``dx_n``/``dy_n``) up
-to a declared reach (``dx_order``/``dy_order``), and from finite
-differences of ``eval`` beyond it. Translation kernels carry their profile
+Partials come from one callable per axis (``dx_n``/``dy_n``) that answers
+every order it is asked for or raises :class:`UnsupportedOrderError`; a
+kernel without the callable takes finite differences of ``eval`` (the
+tabulated Riccati kernel). Translation kernels carry their profile
 (``profile_n``) and derive their values and partials from it; diagonal
 kernels carry only their ``factor``. :func:`kernel_table` returns the
 Nystrom table (quadrature weights absorbed into the columns), checked for
@@ -78,7 +81,7 @@ __all__ = [
     "ResidualField",
     "fourier",
     "gaussian",
-    "translation_family",
+    "translation_tgauss",
     "exp_exp",
     "multiplication",
     "dilation",
@@ -122,10 +125,10 @@ class Kernel:
     """Closed-form (or tabulated) transformation kernel ``w(x, y)``.
 
     ``eval`` takes broadcastable arrays. ``dx_n``/``dy_n`` are the analytic
-    partials ``(x, y, q) -> d^q w``; their reach is bounded by
-    ``dx_order``/``dy_order`` (``None`` = any order), and a missing callable
-    means reach 0. Orders beyond the analytic reach fall back to centered
-    finite differences of ``eval``. :func:`kernel_table` tabulates the kernel
+    partials ``(x, y, q) -> d^q w``: each answers every order ``q >= 1`` it
+    is asked for, or raises :class:`UnsupportedOrderError`. A missing
+    callable means centered finite differences of ``eval`` at every order
+    along that axis. :func:`kernel_table` tabulates the kernel
     with quadrature weights absorbed and checks the table is finite.
 
     ``profile_n(t, q)`` marks a translation kernel ``f(x - y)``: it is the
@@ -143,8 +146,6 @@ class Kernel:
     is_complex: bool = False
     dx_n: Optional[Callable] = None
     dy_n: Optional[Callable] = None
-    dx_order: Optional[int] = None
-    dy_order: Optional[int] = None
     factor: Optional[Callable] = None
     profile_n: Optional[Callable] = None
     tail_integrable: bool = False
@@ -155,8 +156,7 @@ class Kernel:
 
     def _analytic(self, axis: str, q: int) -> bool:
         """Whether the order-``q`` partial along ``axis`` is analytic."""
-        fn, reach = (self.dx_n, self.dx_order) if axis == "x" else (self.dy_n, self.dy_order)
-        return q == 0 or (fn is not None and (reach is None or q <= reach))
+        return q == 0 or (self.dx_n if axis == "x" else self.dy_n) is not None
 
     def partial_x(self, x, y, q: int):
         return self._partial("x", x, y, q)
@@ -271,51 +271,32 @@ def gaussian() -> Kernel:
             return value
         return (-1.0) ** q * _hermite(q, t) * np.exp(-(t**2))
 
-    return _translation("gaussian", profile, None, tail_integrable=True)
+    return _translation("gaussian", profile, tail_integrable=True)
 
 
-def translation_family(
-    f: Callable,
-    derivatives: Sequence[Callable] = (),
-    tail_integrable: bool = False,
-    id: str = "translation",
-) -> Kernel:
-    """Translation-invariant kernel ``f(x - y)``.
+def translation_tgauss() -> Kernel:
+    """Translation kernel ``t e^{-t^2}`` at ``t = x - y``.
 
-    ``derivatives[j]`` is the ``(j+1)``-th derivative of the profile ``f``;
-    analytic partials reach that order, beyond it finite differences apply.
+    ``t e^{-t^2} = -1/2 d/dt e^{-t^2}``, so its profile is -1/2 the
+    Gaussian profile one order up: analytic at every order, with the
+    antiderivatives that give its jump images in closed form.
     """
-    derivatives = tuple(derivatives)
-    reach = len(derivatives)
-
-    def profile(t, q=0):
-        if q == 0:
-            return f(t)
-        if q < 0:
-            raise UnsupportedOrderError(
-                f"translation profile carries no antiderivatives (order {q})"
-            )
-        if q > reach:
-            raise UnsupportedOrderError(
-                f"translation profile carries derivatives up to order {reach}"
-            )
-        return derivatives[q - 1](np.asarray(t, dtype=float))
-
-    return _translation(id, profile, reach, tail_integrable)
+    gauss = gaussian().profile_n
+    return _translation(
+        "translation_tgauss", lambda t, q=0: -0.5 * gauss(t, q + 1), tail_integrable=True
+    )
 
 
-def _translation(id: str, profile: Callable, reach: Optional[int], tail_integrable: bool) -> Kernel:
+def _translation(id: str, profile: Callable, tail_integrable: bool) -> Kernel:
     """Translation kernel ``f(x - y)`` from its profile ``profile(t, q) = f^(q)(t)``:
     values ``profile(x - y, 0)``, x-partials ``profile(x - y, q)`` and
-    y-partials ``(-1)^q profile(x - y, q)``, analytic up to ``reach``."""
+    y-partials ``(-1)^q profile(x - y, q)``."""
     t = lambda x, y: np.asarray(x) - np.asarray(y)
     return Kernel(
         id=id,
         eval=lambda x, y: profile(t(x, y), 0),
         dx_n=lambda x, y, q: profile(t(x, y), q),
         dy_n=lambda x, y, q: (-1.0) ** q * profile(t(x, y), q),
-        dx_order=reach,
-        dy_order=reach,
         profile_n=profile,
         tail_integrable=tail_integrable,
     )
@@ -324,7 +305,10 @@ def _translation(id: str, profile: Callable, reach: Optional[int], tail_integrab
 def exp_exp(sign: int) -> Kernel:
     """Kernel ``e^{x e^{sign*y}}`` with ``sign`` in {+1, -1}.
 
-    x-partials are analytic to any order; y-partials to order 2.
+    Partials are analytic at every order. With ``z = x e^{sign*y}``, d/dy
+    acts as ``sign * z d/dz``, and ``(z d/dz)^q e^z = T_q(z) e^z`` with the
+    Touchard polynomial ``T_q(z) = sum_k S(q, k) z^k`` (Stirling numbers of
+    the second kind), evaluated in Horner form.
     """
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
@@ -338,19 +322,23 @@ def exp_exp(sign: int) -> Kernel:
         return g**q * w(x, y)
 
     def dyn(x, y, q):
-        x, y = np.asarray(x), np.asarray(y)
-        g = np.exp(s * y)
-        if q == 1:
-            return x * s * g * w(x, y)
-        # q == 2; s^2 == 1
-        return x * g * (1.0 + x * g) * w(x, y)
+        z = np.asarray(x) * np.exp(s * np.asarray(y))
+        # S(k, j) = j S(k-1, j) + S(k-1, j-1) up to k = q, then Horner on
+        # T_q(z) = z (S(q, q) z^(q-1) + ... + S(q, 1)), where S(q, q) = 1
+        stirling = [1]
+        for k in range(1, q + 1):
+            stirling = [0] + [j * (stirling[j] if j < k else 0) + stirling[j - 1]
+                              for j in range(1, k + 1)]
+        t = 1.0
+        for c in reversed(stirling[1:q]):
+            t = t * z + c
+        return s**q * (t * z) * np.exp(z)
 
     return Kernel(
         id=f"exp_exp{'+' if sign > 0 else '-'}",
         eval=w,
         dx_n=dxn,
         dy_n=dyn,
-        dy_order=2,
     )
 
 
@@ -429,8 +417,8 @@ def _require_finite(kernel_id: str, values: np.ndarray, x, y) -> None:
 
 def _self_check(kernel: Kernel, x_range, y_range) -> None:
     """Verify analytic first partials against centered finite differences
-    at seeded random points of the working rectangle, on every axis whose
-    analytic reach is at least 1."""
+    at seeded random points of the working rectangle, on every axis with
+    an analytic partial."""
     rng = random.Random(_SELF_CHECK_SEED)
     xs, ys = (
         np.array([rng.uniform(*span) for _ in range(_SELF_CHECK_POINTS)])
@@ -658,15 +646,6 @@ def _coefficient_derivative(fn, order: int, db=None) -> Callable:
     return _fd_derivative(_as_coefficient(fn), order)
 
 
-def _fd_interior(grid: Grid, order: int) -> np.ndarray:
-    """Mask of nodes whose finite-difference rows use centered stencils."""
-    mask = np.ones(grid.n, dtype=bool)
-    if not grid.periodic and order:
-        radius = _fd_radius(order)
-        mask[:radius] = mask[grid.n - radius :] = False
-    return mask
-
-
 def kernel_pde_residual(
     kernel: Kernel,
     n: int,
@@ -681,19 +660,28 @@ def kernel_pde_residual(
 
         R(x, y) = a(x) d^n w / dx^n - (-1)^n d^m (w(x, y) b(y)) / dy^m,
 
-    evaluated on the grid rectangle. Derivatives are analytic when the
-    kernel supplies them; otherwise the kernel is tabulated on the grid and
-    differentiated with 4th-order matrices, in which case boundary-stencil
-    rows/columns are excluded from the reported field. ``db`` optionally
-    supplies analytic derivatives of ``b`` for the Leibniz expansion.
+    evaluated on the grid rectangle. The y side is the Leibniz expansion
+    over the kernel's analytic y-partials, ``db`` optionally supplying
+    analytic derivatives of ``b``; a kernel without ``dy_n`` takes m = 0
+    only. The x side is analytic when the kernel supplies ``dx_n``;
+    otherwise the kernel is tabulated on the grid and differentiated with
+    4th-order matrices, and the boundary-stencil rows are excluded from
+    the reported field.
 
-    Returns the interior residual field and its max norm.
+    Returns the residual field and its max norm.
     """
     n, m = int(n), int(m)
     if n < 0 or m < 0:
         raise DomainError("derivative orders must be nonnegative")
     if kernel.factor is not None:
         raise DomainError("diagonal kernels have no pointwise residual field")
+    if not kernel._analytic("y", m):
+        raise UnsupportedOrderError(
+            f"kernel {kernel.id!r} has no analytic y-partials; it takes y-order 0 only, got {m}"
+        )
+    fd_x = not kernel._analytic("x", n)
+    if fd_x and n > 4:
+        raise UnsupportedOrderError(f"finite-difference path supports x-order <= 4, got {n}")
     yg = grid if y_grid is None else y_grid
     x = grid.nodes
     y = yg.nodes
@@ -702,27 +690,18 @@ def kernel_pde_residual(
     b_y = np.asarray(b_fn(y))
     sign = (-1.0) ** n
 
-    fd_x = not kernel._analytic("x", n)
-    fd_y = m > 0 and not kernel._analytic("y", m)
-    for fd, order, axis in ((fd_x, n, "x"), (fd_y, m, "y")):
-        if fd and order > 4:
-            raise UnsupportedOrderError(
-                f"finite-difference path supports {axis}-order <= 4, got {order}"
-            )
-    # on the finite-difference paths the kernel is tabulated once and its
-    # boundary-stencil rows/columns are left out of the field
+    # on the finite-difference path the kernel is tabulated once and the
+    # rows without a centered stencil are left out of the field
+    x_mask = np.ones(grid.n, dtype=bool)
     if fd_x:
         table = kernel.eval(x[:, None], y[None, :])
         dx = diff_matrix(grid, n).entries
-    if fd_y:
-        dy = diff_matrix(yg, m).entries
-    elif m:
+        if not grid.periodic:
+            x_mask[: _fd_radius(n)] = x_mask[grid.n - _fd_radius(n) :] = False
+    if m:
         b_derivs = [
             np.asarray(_coefficient_derivative(b_fn, m - i, db)(y)) for i in range(m + 1)
         ]
-    x_mask = _fd_interior(grid, n if fd_x else 0)
-    y_mask = _fd_interior(yg, m if fd_y else 0)
-    every_node = bool(x_mask.all() and y_mask.all())
 
     values, kept, max_norm = None, 0, 0.0
     step = max(1, _RESIDUAL_BLOCK // yg.n)
@@ -739,25 +718,22 @@ def kernel_pde_residual(
         if m == 0:
             w = table[r0:r1] if fd_x else kernel.eval(xs, y[None, :])
             rhs = w * b_y[None, :]
-        elif not fd_y:
+        else:
             rhs = np.zeros_like(lhs)
             for i, bi in enumerate(b_derivs):
                 rhs = rhs + math.comb(m, i) * kernel.partial_y(xs, y[None, :], i) * bi[None, :]
-        else:
-            wb = kernel.eval(xs, y[None, :]) * b_y[None, :]
-            rhs = _banded_rows(dy, yg, m, wb.T, 0, yg.n).T
         block = lhs - sign * rhs
         _require_finite(kernel.id, block, x[r0:r1], y)
-        if not every_node:
-            block = block[np.ix_(x_mask[r0:r1], y_mask)]
+        if fd_x:
+            block = block[x_mask[r0:r1]]
         if values is None:
-            values = np.empty((int(x_mask.sum()), int(y_mask.sum())), dtype=block.dtype)
+            values = np.empty((int(x_mask.sum()), yg.n), dtype=block.dtype)
         values[kept : kept + len(block)] = block
         kept += len(block)
         if block.size:
             max_norm = max(max_norm, float(np.max(np.abs(block))))
 
-    return ResidualField(x=x[x_mask], y=y[y_mask], values=values), max_norm
+    return ResidualField(x=x[x_mask], y=y, values=values), max_norm
 
 
 def _banded_rows(d: np.ndarray, grid: Grid, q: int, values: np.ndarray, r0: int, r1: int):

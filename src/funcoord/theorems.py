@@ -321,6 +321,22 @@ def _check_is_solution(L, u, v, seed: int) -> None:
             )
 
 
+def _smoothed_residual(L: Sequence, u: GeneralizedFunction, v: GeneralizedFunction, grid: Grid):
+    """``(phi, max |L(D) phi - psi|)`` for ``phi``, ``psi`` the Gaussian
+    transforms of ``u``, ``v`` on the nodes of ``grid``."""
+    kernel = gaussian()
+    phi = np.real(apply(kernel, u, out_nodes=grid.nodes))
+    psi = np.real(apply(kernel, v, out_nodes=grid.nodes))
+
+    Lphi = np.zeros_like(phi)
+    for order, coeff in L:
+        if order == 0:
+            Lphi = Lphi + coeff * phi
+        else:
+            Lphi = Lphi + coeff * (diff_matrix(grid, int(order)).entries @ phi)
+    return phi, float(np.max(np.abs(Lphi - psi)))
+
+
 def smooth_from_generalized(
     L: Sequence,
     u: GeneralizedFunction,
@@ -342,19 +358,8 @@ def smooth_from_generalized(
     error stays below the stated tolerance. The report notes a smoothness
     proxy for phi (a bounded second-difference quotient).
     """
-    kernel = gaussian()
     _check_is_solution(L, u, v, seed)
-
-    phi = np.real(apply(kernel, u, out_nodes=grid.nodes))
-    psi = np.real(apply(kernel, v, out_nodes=grid.nodes))
-
-    Lphi = np.zeros_like(phi)
-    for order, coeff in L:
-        if order == 0:
-            Lphi = Lphi + coeff * phi
-        else:
-            Lphi = Lphi + coeff * (diff_matrix(grid, int(order)).entries @ phi)
-    residual = float(np.max(np.abs(Lphi - psi)))
+    phi, residual = _smoothed_residual(L, u, v, grid)
 
     h = grid.spacing
     proxy = float(np.max(np.abs(np.diff(phi, 2))) / h**2)
@@ -441,8 +446,10 @@ def theorem_property_suite(
     """Randomized instantiation of the generalized-to-smooth statement.
 
     Draws ``count`` seeded random (L, u, v) triples on a periodic
-    quadrature grid (spectral differentiation keeps v accurate) and runs
-    :func:`smooth_from_generalized` on each; reports the worst residual.
+    quadrature grid (spectral differentiation keeps v accurate) and checks
+    each as :func:`smooth_from_generalized` does; reports the worst
+    residual. ``v`` is built as ``L u``, so the distributional check that
+    ``u`` solves ``L u = v`` is skipped.
     """
     rng = random.Random(seed)
     quad_grid = make_uniform_grid(-6.0, 6.0, 64, periodic=True)
@@ -452,15 +459,11 @@ def theorem_property_suite(
     eval_grid = make_uniform_grid(-0.6, 0.6, 64, periodic=False)
     worst = 0.0
     passed_count = 0
-    for index in range(count):
+    for _ in range(count):
         L, u, v = _random_theorem_instance(rng, quad_grid)
-        report = smooth_from_generalized(
-            L, u, v, eval_grid, seed=seed + index, tolerance=tolerance,
-            name=f"theorem_instance_{index}",
-        )
-        res = report.residuals["operator_residual"]
+        _, res = _smoothed_residual(L, u, v, eval_grid)
         worst = max(worst, res)
-        passed_count += int(report.passed)
+        passed_count += int(res <= tolerance)
     return VerificationReport.build(
         name="theorem_property_suite",
         residuals={"worst_operator_residual": worst},

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from funcoord.cli import main
+from funcoord.cli import INPUTS, SUITES, main
 
 
 def run(argv):
@@ -46,6 +46,12 @@ def test_verify_fourier_suite(tmp_path):
 
 def test_verify_all_suites_pass(tmp_path):
     assert run(["verify", "--suite", "all", "--out", str(tmp_path / "all")]) == 0
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("suite", [s for s in SUITES if "n" in INPUTS[s][0]])
+def test_suites_that_read_n_pass_at_every_grid_size(tmp_path, suite, n):
+    assert run(["verify", "--suite", suite, "--n", str(n), "--out", str(tmp_path)]) == 0
 
 
 def test_verify_rejects_small_grid(tmp_path):
@@ -120,6 +126,20 @@ def test_transform_step_matches_erf(tmp_path):
     _, rows = read_csv(out / "transform.csv")
     target = (np.sqrt(np.pi) / 2) * (1 + erf(rows[:, 0]))
     assert np.max(np.abs(rows[:, 1] - target)) < 1e-7
+
+
+def test_transform_rejects_jumps_on_a_periodic_grid(tmp_path, capsys):
+    # the jump's image is integrated on the line while the smooth part goes
+    # through the periodized table, so their sum is not the periodic transform
+    x = -6.0 + 12.0 * np.arange(64) / 64
+    gf = make_gf_json(tmp_path, "step.json", {
+        "smooth": list(np.where(x > 0.1, 1.0, 0.0)), "jumps": [[0.1, 1.0]], "singular": [],
+        "grid": {**GRID_DOC, "periodic": True},
+    })
+    out = tmp_path / "tr"
+    assert run(["transform", "--input", gf, "--kernel", "gaussian", "--out", str(out)]) == 2
+    assert "non-periodic grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_transform_invert_prints_condition_report(tmp_path, capsys):

@@ -29,9 +29,9 @@ from funcoord import (
     make_uniform_grid,
     multiplication,
     riccati_kernel,
-    translation_family,
+    translation_tgauss,
 )
-from funcoord.cli import _translation_tgauss
+from funcoord.cli import KERNELS
 from funcoord.grid import OperatorMatrix
 from funcoord.kernels import (
     _banded_rows,
@@ -40,16 +40,10 @@ from funcoord.kernels import (
     _hermite,
     _jump_image,
     _sketched_svd,
+    _translation,
     _truncated_svd,
     kernel_table,
 )
-
-
-def t_gauss_kernel():
-    f = lambda t: t * np.exp(-(t**2))
-    d1 = lambda t: (1 - 2 * t**2) * np.exp(-(t**2))
-    d2 = lambda t: (4 * t**3 - 6 * t) * np.exp(-(t**2))
-    return translation_family(f, [d1, d2], tail_integrable=True)
 
 
 @pytest.fixture
@@ -107,21 +101,56 @@ def test_dilation_equals_multiplication_by_the_constant(wide_grid):
             apply(k, with_delta)
 
 
-def test_exp_family_second_x_partial_beyond_its_reach():
-    # w = (1 + y^2) e^{-sin(x) y}; only the first x-partial is analytic
+def test_kernel_without_partials_takes_finite_differences_of_its_values():
+    # w = (1 + y^2) e^{-sin(x) y} declares no partials: every order on
+    # either axis is a finite difference of the values
     value = lambda x, y: (1.0 + np.asarray(y) ** 2) * np.exp(-np.sin(x) * np.asarray(y))
-    k = Kernel(
-        id="separable_exponent",
-        eval=value,
-        dx_n=lambda x, y, q: -np.cos(x) * np.asarray(y) * value(x, y),
-        dx_order=1,
-    )
+    k = Kernel(id="separable_exponent", eval=value)
     x = np.linspace(-1.0, 1.0, 9)
     y = np.linspace(-1.0, 1.0, 9)[::-1]
     w = k.eval(x, y)
     expected = (np.sin(x) * y + (np.cos(x) * y) ** 2) * w
     assert np.max(np.abs(k.partial_x(x, y, 2) - expected)) < 1e-6
-    assert np.max(np.abs(k.partial_x(x, y, 1) + np.cos(x) * y * w)) < 1e-14
+    assert np.max(np.abs(k.partial_x(x, y, 1) + np.cos(x) * y * w)) < 1e-9
+    d_y = (2.0 * y - np.sin(x) * (1.0 + y**2)) * np.exp(-np.sin(x) * y)
+    assert np.max(np.abs(k.partial_y(x, y, 1) - d_y)) < 1e-9
+
+
+#: a rectangle on which each pointwise registry kernel is used
+WORKING_RECTANGLES = {
+    "gaussian": ((-6.0, 6.0), (-6.0, 6.0)),
+    "translation_tgauss": ((-6.0, 6.0), (-6.0, 6.0)),
+    "fourier": ((0.0, 2 * np.pi), (-16.0, 15.0)),
+    "exp_exp_plus": ((0.0, 1.0), (-1.0, 1.0)),
+    "exp_exp_minus": ((0.0, 1.0), (-1.0, 1.0)),
+}
+
+
+def test_registry_kernels_answer_every_order_like_finite_differences():
+    pointwise = {kid: make() for kid, (make, _) in KERNELS.items() if make().factor is None}
+    assert set(pointwise) == set(WORKING_RECTANGLES)
+    rng = np.random.default_rng(11)
+    for kid, kernel in pointwise.items():
+        (x0, x1), (y0, y1) = WORKING_RECTANGLES[kid]
+        x, y = rng.uniform(x0, x1, 200), rng.uniform(y0, y1, 200)
+        for axis in ("x", "y"):
+            for q in range(1, 5):
+                analytic = kernel._partial(axis, x, y, q)
+                numeric = kernel._fd_partial(axis, x, y, q)
+                scale = 1.0 + np.max(np.abs(analytic))
+                assert np.max(np.abs(analytic - numeric)) < 1e-4 * scale, (kid, axis, q)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_exp_exp_y_partials_equal_the_closed_forms_bit_for_bit(sign):
+    # the Touchard form s^q T_q(z) e^z against x s e^{sy} w and x e^{sy} (1 + x e^{sy}) w
+    x = np.linspace(0.0, 1.0, 200)[:, None]
+    y = np.linspace(-1.0, 1.0, 200)[None, :]
+    g = np.exp(sign * y)
+    w = np.exp(x * g)
+    k = exp_exp(sign)
+    assert np.array_equal(k.dy_n(x, y, 1).view(np.uint64), (x * sign * g * w).view(np.uint64))
+    assert np.array_equal(k.dy_n(x, y, 2).view(np.uint64), (x * g * (1.0 + x * g) * w).view(np.uint64))
 
 
 def test_self_check_catches_wrong_derivative(wide_grid):
@@ -143,7 +172,7 @@ def test_discretize_rejects_nonfinite_kernel(wide_grid):
             discretize(bad, wide_grid)
 
 
-@pytest.mark.parametrize("make_kernel", [gaussian, t_gauss_kernel])
+@pytest.mark.parametrize("make_kernel", [gaussian, translation_tgauss], ids=["gaussian", "t_gauss_kernel"])
 @pytest.mark.parametrize("lo, hi, n", [(-6.0, 6.0, 48), (-2 * np.pi, 2 * np.pi, 64), (-5.0, 7.0, 45)])
 @pytest.mark.parametrize("dx_order", [0, 1])
 def test_periodic_translation_table_is_its_periodized_evaluation(make_kernel, lo, hi, n, dx_order):
@@ -212,11 +241,11 @@ def test_apply_gaussian_to_ramp_jumps(wide_grid, order):
     assert np.max(np.abs(out - target) / (1 + np.abs(target))) < 1e-12
 
 
-def test_translation_profile_rejects_negative_orders():
-    # a profile without declared antiderivatives must not index its
-    # derivative list from the end
-    with pytest.raises(UnsupportedOrderError):
-        t_gauss_kernel().profile_n(0.3, -1)
+def cos_gauss_profile(t, q=0):
+    """cos(t) e^{-t^2}, without derivatives or antiderivatives."""
+    if q != 0:
+        raise UnsupportedOrderError(f"no order {q}")
+    return np.cos(t) * np.exp(-(np.asarray(t) ** 2))
 
 
 def _per_node_jump_image(kernel, x, x0, order, upper):
@@ -240,7 +269,7 @@ def test_jump_image_quadrature_matches_per_node_quad(case, order):
     kernel, grid, x0 = {
         "fourier": (fourier(), make_uniform_grid(0.0, 2 * np.pi, 64, periodic=True), 1.3),
         "exp_exp": (exp_exp(-1), make_uniform_grid(0.0, 1.0, 64), 0.37),
-        "tail": (translation_family(lambda t: np.cos(t) * np.exp(-(t**2)), tail_integrable=True),
+        "tail": (_translation("cos_gauss", cos_gauss_profile, tail_integrable=True),
                  make_uniform_grid(-6.0, 6.0, 64), -0.8),
     }[case]
     image = _jump_image(kernel, grid.nodes, x0, order, grid.hi)
@@ -254,8 +283,9 @@ def test_tgauss_profile_equals_the_hand_written_derivatives_bit_for_bit():
     # -1/2 of the Gaussian profile one order up is t e^{-t^2} and its first
     # derivative in the same floating-point values as the closed forms
     t = np.linspace(-8.0, 8.0, 200001)
-    for q in (0, 1):
-        assert np.array_equal(_translation_tgauss().profile_n(t, q), t_gauss_kernel().profile_n(t, q))
+    profile = translation_tgauss().profile_n
+    assert np.array_equal(profile(t, 0), t * np.exp(-(t**2)))
+    assert np.array_equal(profile(t, 1), (1 - 2 * t**2) * np.exp(-(t**2)))
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -264,7 +294,7 @@ def test_tgauss_jump_images_are_closed_form(order, monkeypatch):
         raise AssertionError("quadrature called")
 
     monkeypatch.setattr("funcoord.kernels.quad", no_quadrature)
-    kernel, x0 = _translation_tgauss(), -1.1167562286272599
+    kernel, x0 = translation_tgauss(), -1.1167562286272599
     x = np.linspace(-6.0, 6.0, 64)[::7]
     image = _jump_image(kernel, x, x0, order, 6.0)
     expected = np.real(_per_node_jump_image(kernel, x, x0, order, np.inf))
@@ -290,14 +320,14 @@ def test_apply_diagonal_kernel_smooth_only(wide_grid):
         apply(dilation(1.0), with_delta)
 
 
-def test_apply_delta_order_beyond_reach_uses_finite_differences(wide_grid):
-    # the profile carries derivatives to order 2, so the order-3 delta's
-    # image, (-1)^3 d^3/dy^3 f(x - y) = f^(3)(x - 0.3), comes from finite
-    # differences of the kernel values
+def test_apply_delta_derivative_without_y_partials_uses_finite_differences(wide_grid):
+    # a kernel that carries only the values of f = t e^{-t^2}: the order-3
+    # delta's image, (-1)^3 d^3/dy^3 f(x - y) = f^(3)(x - 0.3), comes from
+    # finite differences of them
     f = GeneralizedFunction(wide_grid, singular=[(0.3, 3, 1.0)])
     t = wide_grid.nodes - 0.3
     expected = (-8.0 * t**4 + 24.0 * t**2 - 6.0) * np.exp(-(t**2))
-    out = apply(t_gauss_kernel(), f)
+    out = apply(Kernel(id="values_only", eval=translation_tgauss().eval), f)
     assert np.max(np.abs(out - expected)) < 1e-6 * (1.0 + np.max(np.abs(expected)))
 
 
@@ -425,12 +455,18 @@ def test_residual_exp_exp_signs():
 
 def test_residual_translation_kernel_identically_zero():
     g = make_uniform_grid(-4.0, 4.0, 24, periodic=False)
-    _, norm = kernel_pde_residual(t_gauss_kernel(), 1, 1, 1.0, 1.0, g)
+    _, norm = kernel_pde_residual(translation_tgauss(), 1, 1, 1.0, 1.0, g)
     assert norm < 1e-12
-    # without analytic derivatives the finite-difference fallback applies
-    plain = translation_family(lambda t: np.cos(t) * np.exp(-(t**2) / 4))
-    _, norm_fd = kernel_pde_residual(plain, 1, 1, 1.0, 1.0, g)
-    assert norm_fd < 1e-9
+    # a kernel without partials differentiates its table along x, and on
+    # the y side takes order 0 only: with b = 0 the field is d w / dx
+    profile = lambda t: np.cos(t) * np.exp(-(t**2) / 4)
+    plain = Kernel(id="plain", eval=lambda x, y: profile(np.asarray(x) - np.asarray(y)))
+    field, _ = kernel_pde_residual(plain, 1, 0, 1.0, 0.0, g)
+    t = field.x[:, None] - field.y[None, :]
+    exact = -(np.sin(t) + t / 2 * np.cos(t)) * np.exp(-(t**2) / 4)
+    assert field.x.size == g.n - 4 and np.max(np.abs(field.values - exact)) < 1e-2
+    with pytest.raises(UnsupportedOrderError):
+        kernel_pde_residual(plain, 1, 1, 1.0, 1.0, g)
 
 
 def test_residual_separable_exponent_family():
@@ -443,7 +479,6 @@ def test_residual_separable_exponent_family():
         id="separable_exponent",
         eval=w,
         dx_n=lambda x, y, q: -(1.0 / (1.0 + np.asarray(x) ** 2)) * np.asarray(y) * w(x, y),
-        dx_order=1,
     )
     a = lambda x: 1.0 + np.asarray(x) ** 2
     _, norm = kernel_pde_residual(k, 1, 0, a, b, g)
@@ -471,16 +506,11 @@ def test_banded_rows_equal_the_matrix_product(q, periodic):
     for r0, r1 in [(0, 40), (0, 2), (1, 9), (5, 36), (30, 40), (38, 39)]:
         rows = _banded_rows(d, g, q, table, r0, r1)
         assert np.max(np.abs(rows - dense[r0:r1])) < 1e-12 * scale
-    # along the other axis through a transposed view, as the y derivative is
-    # taken on a block of rows
-    block = table.T
-    across = _banded_rows(d, g, q, block.T, 0, g.n).T
-    assert np.max(np.abs(across - block @ d.T)) < 1e-12 * scale
 
 
 def test_residual_row_blocks_match_the_dense_formula():
-    # a kernel without analytic partials takes finite differences on both
-    # axes; n = 200 splits the field into several row blocks
+    # a kernel without analytic partials takes finite differences along x
+    # and y-order 0; n = 200 splits the field into several row blocks
     g = make_uniform_grid(0.0, 1.0, 200, periodic=False)
     yg = make_uniform_grid(-1.0, 1.0, 150, periodic=False)
     k = Kernel(
@@ -489,16 +519,14 @@ def test_residual_row_blocks_match_the_dense_formula():
     )
     a = lambda x: 1.0 + np.asarray(x)
     b = lambda y: np.cos(np.asarray(y))
-    field, norm = kernel_pde_residual(k, 2, 1, a, b, g, y_grid=yg)
+    field, norm = kernel_pde_residual(k, 2, 0, a, b, g, y_grid=yg)
     w = k.eval(g.nodes[:, None], yg.nodes[None, :])
-    dense = a(g.nodes)[:, None] * (diff_matrix(g, 2).entries @ w) - (
-        (w * b(yg.nodes)[None, :]) @ diff_matrix(yg, 1).entries.T
-    )
-    rx, ry = _fd_radius(2), _fd_radius(1)
-    expected = dense[rx : g.n - rx, ry : yg.n - ry]
+    dense = a(g.nodes)[:, None] * (diff_matrix(g, 2).entries @ w) - w * b(yg.nodes)[None, :]
+    rx = _fd_radius(2)
+    expected = dense[rx : g.n - rx]
     assert field.values.shape == expected.shape
     assert np.array_equal(field.x, g.nodes[rx : g.n - rx])
-    assert np.array_equal(field.y, yg.nodes[ry : yg.n - ry])
+    assert np.array_equal(field.y, yg.nodes)
     assert np.max(np.abs(field.values - expected)) < 1e-10 * np.max(np.abs(dense))
     assert norm == np.max(np.abs(field.values))
 
@@ -584,7 +612,7 @@ def test_tabulated_kernel_exports_csv_triples():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("make_kernel", [gaussian, t_gauss_kernel])
+@pytest.mark.parametrize("make_kernel", [gaussian, translation_tgauss], ids=["gaussian", "t_gauss_kernel"])
 def test_translation_kernels_commute_with_differentiation(make_kernel):
     g = make_uniform_grid(-6.0, 6.0, 48, periodic=True)
     w = discretize(make_kernel(), g).entries

@@ -21,8 +21,8 @@ from funcoord import (
     multiplication,
     smooth_from_generalized,
     theorem_property_suite,
-    translation_family,
 )
+from funcoord.kernels import _translation
 from funcoord.theorems import VerificationReport, ramp_instance, step_instance
 
 
@@ -105,9 +105,8 @@ def test_derivative_preservation_scale_invariant_relative_residual():
     grid = make_uniform_grid(-6.0, 6.0, 48, periodic=True)
     results = []
     for c in (1.0, 3.5):
-        k = translation_family(
-            lambda t, c=c: c * np.exp(-(t**2)),
-            [lambda t, c=c: -2 * t * c * np.exp(-(t**2))],
+        k = _translation(
+            "scaled_gauss", lambda t, q=0, c=c: c * gaussian().profile_n(t, q), tail_integrable=False
         )
         rep = check_derivative_preservation(k, grid)
         results.append(rep.residuals["commutator_order1_rel"])
