@@ -33,7 +33,6 @@ from .distributions import (
 from .kernels import (
     ConditionReport,
     Kernel,
-    ResidualField,
     apply,
     dilation,
     discretize,
@@ -43,6 +42,7 @@ from .kernels import (
     invert,
     kernel_pde_residual,
     multiplication,
+    residual_blocks,
     riccati_kernel,
     translation_tgauss,
 )

@@ -32,8 +32,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -44,6 +45,7 @@ from .grid import Grid, csv_blocks, csv_text, make_uniform_grid
 from .kernels import (
     Kernel,
     _as_coefficient,
+    _max_norm,
     _truncated_svd,
     apply,
     dilation,
@@ -53,6 +55,7 @@ from .kernels import (
     gaussian,
     kernel_pde_residual,
     multiplication,
+    residual_blocks,
     riccati_kernel,
     translation_tgauss,
 )
@@ -390,11 +393,11 @@ def _suite_riccati(config: RunConfig, grid: Grid) -> List[VerificationReport]:
         from .kernels import table_blocks
 
         _write_text(Path(config.out) / "riccati_table.csv", table_blocks(kernel))
-    _, max_norm = kernel_pde_residual(kernel, 2, 0, 1.0, y2.fn, grid)
+    residual = kernel_pde_residual(kernel, 2, 0, 1.0, y2.fn, grid)
     return [
         VerificationReport.build(
             name="riccati_second_order",
-            residuals={"kernel_equation_residual": max_norm},
+            residuals={"kernel_equation_residual": residual},
             tolerances=tol,
             notes=(
                 "slope data b = y^2, g0 = y reproduces the separable kernel "
@@ -475,6 +478,21 @@ def _write_text(path: Path, text: Union[str, Iterable[str]]) -> None:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
+def _written_rows(path: Path, blocks, y: np.ndarray) -> Iterator:
+    """Pass on the residual's ``(x, R)`` row blocks, each once its rows are
+    written to the CSV file ``path``; a failing block removes the file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            for k, (x, r) in enumerate(blocks):
+                # the header goes before the first block only
+                fh.writelines(islice(csv_blocks(("x", "y", "R"), x[:, None], y[None, :], r), k > 0, None))
+                yield x, r
+    except Exception:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -547,19 +565,18 @@ def cmd_transform(config: RunConfig, input_path: str) -> int:
 
 
 def cmd_residual(config: RunConfig, n: int, m: int) -> int:
-    """Evaluate the kernel-equation residual field for orders (n, m)."""
+    """Evaluate the kernel-equation residual field for orders (n, m), in
+    one pass that writes its CSV and keeps its max norm."""
     [grid] = _grids(config, "residual")
     kernel = config.make_kernel()
     a = COEFFICIENTS[config.a]
     b = COEFFICIENTS[config.b]
     db = [b.derivative(q) for q in range(1, m + 1)]
-    field_, max_norm = kernel_pde_residual(kernel, n, m, a.fn, b.fn, grid, db=db)
+    blocks = residual_blocks(kernel, n, m, a.fn, b.fn, grid, db=db)
     out = Path(config.out)
     if "csv" in config.formats:
-        _write_text(
-            out / "residual.csv",
-            csv_blocks(("x", "y", "R"), field_.x[:, None], field_.y[None, :], field_.values),
-        )
+        blocks = _written_rows(out / "residual.csv", blocks, grid.nodes)
+    max_norm = _max_norm(blocks)
     summary = {
         "kernel": config.kernel,
         "n": n,

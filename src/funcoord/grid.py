@@ -23,7 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,9 @@ MIN_NODES = 8
 
 #: maximum derivative order supported on non-periodic grids
 MAX_FD_ORDER = 4
+
+#: entries per row block of the n x n layers filled or reduced by row blocks
+_ROW_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -302,18 +305,20 @@ def _fd_radius(q: int) -> int:
     return 2 if q <= 2 else 3
 
 
-def _fd_diff(grid: Grid, q: int) -> np.ndarray:
-    """4th-order finite-difference matrix on a non-periodic grid.
+def _fd_band(grid: Grid, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """4th-order finite-difference matrix on a non-periodic grid, as a band
+    ``(interior, edges)``: ``interior[k]`` is row ``radius + k`` on columns
+    ``k .. k + 2 radius``, ``edges`` the first and last ``radius`` rows.
 
     Interior rows use centered stencils (5 points for q <= 2, 7 for
     q in {3, 4}); rows near the boundary use one-sided windows of q + 5
     points so the boundary closure does not degrade the interior order.
-    The diagonal is corrected to enforce exact zero row sums (constants
-    differentiate to exactly zero).
-
     On a uniform grid a row's weights depend only on where the row's node
     sits in its window, so the 2 * radius + 1 distinct stencils are
-    computed once, on offsets ``h * k`` from the node.
+    computed once, on offsets ``h * k`` from the node. The diagonal is
+    corrected to enforce exact zero row sums (constants differentiate to
+    exactly zero), each sum taken over the row's n entries as numpy sums
+    a dense row, so that band and dense matrix agree bit for bit.
     """
     n = grid.n
     radius = _fd_radius(q)
@@ -324,17 +329,36 @@ def _fd_diff(grid: Grid, q: int) -> np.ndarray:
     def stencil(size: int, at: int) -> np.ndarray:
         return fd_weights(grid.spacing * (np.arange(size) - at), 0.0, q)
 
-    d = np.zeros((n, n))
-    rows = np.arange(radius, n - radius)
-    d[rows[:, None], rows[:, None] + np.arange(-radius, radius + 1)] = stencil(
-        2 * radius + 1, radius
-    )
+    # row i of the dense matrix is the window padded[n - i : 2 n - i]
+    padded = np.zeros(2 * n)
+    padded[n - radius : n + radius + 1] = stencil(2 * radius + 1, radius)
+    interior = np.tile(padded[n - radius : n + radius + 1], (n - 2 * radius, 1))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n)[n - radius : radius : -1]
+    interior[:, radius] -= windows.sum(axis=1)
+    edges = np.zeros((2 * radius, n))
     for i in range(radius):
-        d[i, :p_boundary] = stencil(p_boundary, i)
-        d[n - 1 - i, n - p_boundary :] = stencil(p_boundary, p_boundary - 1 - i)
-    # zero row sums: exact derivative of constants
-    d[np.arange(n), np.arange(n)] -= d.sum(axis=1)
+        edges[i, :p_boundary] = stencil(p_boundary, i)
+        edges[-1 - i, n - p_boundary :] = stencil(p_boundary, p_boundary - 1 - i)
+    edges[range(2 * radius), [*range(radius), *range(n - radius, n)]] -= edges.sum(axis=1)
+    return interior, edges
+
+
+def _fd_diff(grid: Grid, q: int) -> np.ndarray:
+    """The dense matrix of :func:`_fd_band`."""
+    interior, edges = _fd_band(grid, q)
+    n, radius = grid.n, len(edges) // 2
+    d = np.zeros((n, n))
+    rows = np.arange(radius, n - radius)[:, None]
+    d[rows, rows + np.arange(-radius, radius + 1)] = interior
+    d[:radius], d[n - radius :] = edges[:radius], edges[radius:]
     return d
+
+
+def _row_blocks(rows: int, cols: int) -> Iterator[Tuple[int, int]]:
+    """Bounds ``(r0, r1)`` of consecutive row blocks of a rows x cols array,
+    of at most ``_ROW_BLOCK`` entries each (or one row)."""
+    step = max(1, _ROW_BLOCK // cols)
+    return ((r0, min(r0 + step, rows)) for r0 in range(0, rows, step))
 
 
 def diff_matrix(grid: Grid, q: int) -> OperatorMatrix:

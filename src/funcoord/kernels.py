@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +68,9 @@ from .grid import (
     Grid,
     OperatorMatrix,
     _circulant,
+    _fd_band,
     _fd_radius,
+    _row_blocks,
     csv_blocks,
     diff_matrix,
     fd_weights,
@@ -78,7 +80,6 @@ from .grid import (
 __all__ = [
     "Kernel",
     "ConditionReport",
-    "ResidualField",
     "fourier",
     "gaussian",
     "translation_tgauss",
@@ -89,6 +90,7 @@ __all__ = [
     "apply",
     "invert",
     "kernel_pde_residual",
+    "residual_blocks",
     "riccati_kernel",
 ]
 
@@ -98,9 +100,6 @@ RICCATI_BLOWUP = 1.0e6
 _SELF_CHECK_SEED = 20240811
 _SELF_CHECK_POINTS = 100
 _SELF_CHECK_TOL = 1.0e-6
-
-#: entries per row block of kernel_pde_residual
-_RESIDUAL_BLOCK = 1 << 14
 
 #: columns of the first range-finder sketch of _truncated_svd, and its seed
 _SKETCH_COLUMNS = 64
@@ -383,27 +382,28 @@ def kernel_table(kernel: Kernel, x_rows: np.ndarray, grid: Grid, dx_order: int =
 
     At the grid's own nodes that periodized table is circulant (its
     weights are equal), so only its first column is evaluated and the
-    rest is a strided copy of it.
+    rest is a strided copy of it. Every other table is filled one block of
+    rows at a time, so only one block's temporaries are held beside it.
     """
     cols = column_nodes(kernel, grid)
-    if kernel.profile_n is not None and grid.periodic:
-        on_nodes = np.array_equal(x_rows, cols)
-        delta = x_rows[:, None] - cols[None, :1 if on_nodes else None]
-        span = grid.hi - grid.lo
+    periodized = kernel.profile_n is not None and grid.periodic
+    span = grid.hi - grid.lo
+
+    def entries(xs, ys):
+        if not periodized:
+            return kernel.partial_x(xs, ys, dx_order)
+        delta = xs - ys
         wrapped = delta - span * np.round(delta / span)
-        values = sum(
-            kernel.profile_n(wrapped + m * span, dx_order) for m in (-1, 0, 1)
-        )
-        if on_nodes:
-            table = _circulant(values[:, 0] * grid.weights[0])
-            _require_finite(kernel.id, table, x_rows, cols)
-            return table
-    elif dx_order == 0:
-        values = kernel.eval(x_rows[:, None], cols[None, :])
-    else:
-        values = kernel.partial_x(x_rows[:, None], cols[None, :], dx_order)
-    table = values * grid.weights[None, :]
-    _require_finite(kernel.id, table, x_rows, cols)
+        return sum(kernel.profile_n(wrapped + m * span, dx_order) for m in (-1, 0, 1))
+
+    if periodized and np.array_equal(x_rows, cols):
+        table = _circulant(entries(x_rows[:, None], cols[None, :1])[:, 0] * grid.weights[0])
+        _require_finite(kernel.id, table, x_rows, cols)
+        return table
+    table = np.empty((len(x_rows), len(cols)), complex if kernel.is_complex else float)
+    for r0, r1 in _row_blocks(len(x_rows), len(cols)):
+        np.multiply(entries(x_rows[r0:r1, None], cols[None, :]), grid.weights, out=table[r0:r1])
+        _require_finite(kernel.id, table[r0:r1], x_rows[r0:r1], cols)
     return table
 
 
@@ -627,15 +627,6 @@ def _gaussian_sketch(rng: random.Random, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidualField:
-    """Residual values on the interior evaluation nodes."""
-
-    x: np.ndarray
-    y: np.ndarray
-    values: np.ndarray
-
-
 def _coefficient_derivative(fn, order: int, db=None) -> Callable:
     """order-th derivative of a scalar coefficient: supplied analytically
     via ``db`` (db[j] = (j+1)-th derivative) or by centered differences."""
@@ -646,7 +637,7 @@ def _coefficient_derivative(fn, order: int, db=None) -> Callable:
     return _fd_derivative(_as_coefficient(fn), order)
 
 
-def kernel_pde_residual(
+def residual_blocks(
     kernel: Kernel,
     n: int,
     m: int,
@@ -655,20 +646,19 @@ def kernel_pde_residual(
     grid: Grid,
     y_grid: Optional[Grid] = None,
     db: Optional[Sequence[Callable]] = None,
-) -> Tuple[ResidualField, float]:
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Residual of the order-(n, m) kernel intertwining equation,
 
         R(x, y) = a(x) d^n w / dx^n - (-1)^n d^m (w(x, y) b(y)) / dy^m,
 
-    evaluated on the grid rectangle. The y side is the Leibniz expansion
-    over the kernel's analytic y-partials, ``db`` optionally supplying
-    analytic derivatives of ``b``; a kernel without ``dy_n`` takes m = 0
-    only. The x side is analytic when the kernel supplies ``dx_n``;
-    otherwise the kernel is tabulated on the grid and differentiated with
-    4th-order matrices, and the boundary-stencil rows are excluded from
-    the reported field.
-
-    Returns the residual field and its max norm.
+    on the grid rectangle, streamed as ``(x, R)`` pairs, one block of rows
+    at a time, so the field is never held whole. The y side is the Leibniz
+    expansion over the kernel's analytic y-partials, ``db`` optionally
+    supplying analytic derivatives of ``b``; a kernel without ``dy_n``
+    takes m = 0 only. The x side is analytic when the kernel supplies
+    ``dx_n``; otherwise the kernel is tabulated on the grid and
+    differentiated with 4th-order matrices, and the boundary-stencil rows
+    are left out. Arguments are checked on the call, finiteness per block.
     """
     n, m = int(n), int(m)
     if n < 0 or m < 0:
@@ -691,72 +681,78 @@ def kernel_pde_residual(
     sign = (-1.0) ** n
 
     # on the finite-difference path the kernel is tabulated once and the
-    # rows without a centered stencil are left out of the field
-    x_mask = np.ones(grid.n, dtype=bool)
+    # rows without a centered stencil, outside kept, are left out
+    kept = (0, grid.n)
     if fd_x:
         table = kernel.eval(x[:, None], y[None, :])
-        dx = diff_matrix(grid, n).entries
+        dx_rows = _diff_rows(grid, n)
         if not grid.periodic:
-            x_mask[: _fd_radius(n)] = x_mask[grid.n - _fd_radius(n) :] = False
+            kept = (_fd_radius(n), grid.n - _fd_radius(n))
     if m:
         b_derivs = [
             np.asarray(_coefficient_derivative(b_fn, m - i, db)(y)) for i in range(m + 1)
         ]
 
-    values, kept, max_norm = None, 0, 0.0
-    step = max(1, _RESIDUAL_BLOCK // yg.n)
-    for r0 in range(0, grid.n, step):
-        r1 = min(r0 + step, grid.n)
-        xs = x[r0:r1, None]
-        # ---- a(x) * d^n w / dx^n
-        if fd_x:
-            dxn = _banded_rows(dx, grid, n, table, r0, r1)
-        else:
-            dxn = kernel.partial_x(xs, y[None, :], n)
-        lhs = a_x[r0:r1, None] * dxn
-        # ---- (-1)^n * d^m (w b) / dy^m
-        if m == 0:
-            w = table[r0:r1] if fd_x else kernel.eval(xs, y[None, :])
-            rhs = w * b_y[None, :]
-        else:
-            rhs = np.zeros_like(lhs)
-            for i, bi in enumerate(b_derivs):
-                rhs = rhs + math.comb(m, i) * kernel.partial_y(xs, y[None, :], i) * bi[None, :]
-        block = lhs - sign * rhs
-        _require_finite(kernel.id, block, x[r0:r1], y)
-        if fd_x:
-            block = block[x_mask[r0:r1]]
-        if values is None:
-            values = np.empty((int(x_mask.sum()), yg.n), dtype=block.dtype)
-        values[kept : kept + len(block)] = block
-        kept += len(block)
-        if block.size:
-            max_norm = max(max_norm, float(np.max(np.abs(block))))
+    def blocks():
+        for r0, r1 in _row_blocks(grid.n, yg.n):
+            xs = x[r0:r1, None]
+            # ---- a(x) * d^n w / dx^n
+            lhs = a_x[r0:r1, None] * (
+                dx_rows(table, r0, r1) if fd_x else kernel.partial_x(xs, y[None, :], n)
+            )
+            # ---- (-1)^n * d^m (w b) / dy^m
+            if m == 0:
+                rhs = (table[r0:r1] if fd_x else kernel.eval(xs, y[None, :])) * b_y[None, :]
+            else:
+                rhs = np.zeros_like(lhs)
+                for i, bi in enumerate(b_derivs):
+                    rhs = rhs + math.comb(m, i) * kernel.partial_y(xs, y[None, :], i) * bi[None, :]
+            block = lhs - sign * rhs
+            del lhs, rhs  # only the block outlives its step
+            _require_finite(kernel.id, block, x[r0:r1], y)
+            k0, k1 = max(kept[0], r0), min(kept[1], r1)
+            if k0 < k1:
+                yield x[k0:k1], block[k0 - r0 : k1 - r0]
 
-    return ResidualField(x=x[x_mask], y=y, values=values), max_norm
+    return blocks()
 
 
-def _banded_rows(d: np.ndarray, grid: Grid, q: int, values: np.ndarray, r0: int, r1: int):
-    """Rows ``r0:r1`` of ``d @ values`` for ``d``, the entries of
-    ``diff_matrix(grid, q)``. A finite-difference matrix is banded: its
-    interior rows apply their stencil weights to shifted slices of
-    ``values`` and only its boundary rows take a product with their row of
-    ``d``. The spectral matrix of a periodic grid is dense."""
+def _diff_rows(grid: Grid, q: int) -> Callable:
+    """``(values, r0, r1) ->`` rows ``r0:r1`` of ``diff_matrix(grid, q) @
+    values``. A finite-difference matrix is read from its band and never
+    formed: its interior rows apply their stencil weights to shifted slices
+    of ``values`` and only its edge rows take a product with their full
+    row. The spectral matrix of a periodic grid is dense."""
     if grid.periodic:
-        return d[r0:r1] @ values
-    n, radius = grid.n, _fd_radius(q)
-    out = np.empty((r1 - r0, values.shape[1]), dtype=np.result_type(d, values))
-    lo, hi = max(r0, radius), min(r1, n - radius)
-    if lo < hi:
-        rows = np.arange(lo, hi)[:, None]
-        weights = d[rows, rows + np.arange(-radius, radius + 1)]
-        acc = out[lo - r0 : hi - r0]
-        np.multiply(weights[:, :1], values[lo - radius : hi - radius], out=acc)
-        for k in range(1, 2 * radius + 1):
-            acc += weights[:, k : k + 1] * values[lo - radius + k : hi - radius + k]
-    for i in [*range(r0, min(r1, radius)), *range(max(r0, n - radius), r1)]:
-        out[i - r0] = d[i] @ values
-    return out
+        d = diff_matrix(grid, q).entries
+        return lambda values, r0, r1: d[r0:r1] @ values
+    (interior, edges), n, radius = _fd_band(grid, q), grid.n, _fd_radius(q)
+
+    def rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        out = np.empty((r1 - r0, values.shape[1]), dtype=np.result_type(interior, values))
+        lo, hi = max(r0, radius), min(r1, n - radius)
+        if lo < hi:
+            weights = interior[lo - radius : hi - radius]
+            acc = out[lo - r0 : hi - r0]
+            np.multiply(weights[:, :1], values[lo - radius : hi - radius], out=acc)
+            for k in range(1, 2 * radius + 1):
+                acc += weights[:, k : k + 1] * values[lo - radius + k : hi - radius + k]
+        for i in [*range(r0, min(r1, radius)), *range(max(r0, n - radius), r1)]:
+            out[i - r0] = edges[i if i < radius else i - n] @ values
+        return out
+
+    return rows
+
+
+def kernel_pde_residual(*args, **kwargs) -> float:
+    """Max norm of the kernel-equation residual: :func:`residual_blocks`,
+    with the same arguments, reduced as its blocks stream by."""
+    return _max_norm(residual_blocks(*args, **kwargs))
+
+
+def _max_norm(blocks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> float:
+    """Largest ``|R|`` over the ``(x, R)`` blocks of :func:`residual_blocks`."""
+    return max((float(np.max(np.abs(block))) for _, block in blocks), default=0.0)
 
 
 # ---------------------------------------------------------------------------

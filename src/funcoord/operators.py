@@ -15,29 +15,41 @@ the grid-level signature of locality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, MetricDegeneracyError
-from .grid import OperatorMatrix
-from .kernels import _truncated_svd
+from .grid import Grid, OperatorMatrix, _row_blocks
+from .kernels import ConditionReport, _truncated_svd
 
 __all__ = [
     "Metric",
+    "FactoredMatrix",
     "conjugate",
+    "conjugate_factored",
     "transform_metric",
     "locality_score",
 ]
 
 
-def conjugate(
+class FactoredMatrix(NamedTuple):
+    """The n x n matrix ``left @ right``, held as its n x r and r x n factors."""
+
+    left: np.ndarray
+    right: np.ndarray
+    grid: Optional[Grid]
+    condition: ConditionReport
+
+
+def conjugate_factored(
     A: Union[OperatorMatrix, np.ndarray], W: OperatorMatrix, threshold: float = 1.0e-10
-) -> OperatorMatrix:
-    """Coordinate-transformed operator ``invert(W) A W``, with the
-    regularized inverse applied in factored form. ``A`` may also be given
-    as a 1-D array, the diagonal of a multiplication operator, which is
-    applied as a scaling and never formed as a matrix.
+) -> FactoredMatrix:
+    """Coordinate-transformed operator ``invert(W) A W``, as the factors
+    ``V_r`` and ``s_r^-1 ((U_r^H A) W)``, which have r columns and r rows.
+    ``A`` may also be given as a 1-D array, the diagonal of a
+    multiplication operator, which is applied as a scaling and never
+    formed as a matrix.
 
     The regularized inverse's :class:`ConditionReport` is attached to the
     result's ``condition`` field — always inspect it: a truncated rank
@@ -51,12 +63,17 @@ def conjugate(
         a, grid = np.asarray(A), W.grid
         if a.shape != (W.n,):
             raise DomainError(f"diagonal of A has shape {a.shape}, expected ({W.n},)")
-    # V_r (s_r^-1 ((U_r^H A) W)): every product but the last has only r rows
     u, s, vh, report = _truncated_svd(W.entries, threshold)
     left = u.conj().T @ a if a.ndim == 2 else u.conj().T * a
-    out = OperatorMatrix(vh.conj().T @ ((left @ W.entries) / s[:, None]), grid)
-    out.condition = report
-    return out
+    return FactoredMatrix(vh.conj().T, (left @ W.entries) / s[:, None], grid, report)
+
+
+def conjugate(
+    A: Union[OperatorMatrix, np.ndarray], W: OperatorMatrix, threshold: float = 1.0e-10
+) -> OperatorMatrix:
+    """:func:`conjugate_factored` with its factors multiplied out."""
+    left, right, grid, report = conjugate_factored(A, W, threshold)
+    return OperatorMatrix(left @ right, grid, report)
 
 
 @dataclass
@@ -98,26 +115,34 @@ def transform_metric(G: Metric, W: OperatorMatrix) -> Metric:
     return Metric(OperatorMatrix((m + m.conj().T) / 2.0, W.grid or G.matrix.grid))
 
 
-def locality_score(A: OperatorMatrix, bandwidth_nodes: int) -> float:
+def locality_score(A: Union[OperatorMatrix, FactoredMatrix], bandwidth_nodes: int) -> float:
     """Fraction of squared Frobenius mass within ``|i - j| <= bandwidth``.
 
     Uses periodic index distance when the matrix carries a periodic grid.
     A zero matrix scores 1.0 (vacuously local). The physical bandwidth is
-    ``bandwidth_nodes * grid.spacing``.
+    ``bandwidth_nodes * grid.spacing``. A :class:`FactoredMatrix` is scored
+    one block of rows at a time and never formed.
     """
     bandwidth_nodes = int(bandwidth_nodes)
     if bandwidth_nodes < 0:
         raise DomainError(f"bandwidth must be >= 0, got {bandwidth_nodes}")
-    n, e = A.n, A.entries
+    n = A.n if isinstance(A, OperatorMatrix) else len(A.left)
     near = min(bandwidth_nodes, n - 1)
     offsets = set(range(-near, near + 1))
     if A.grid is not None and A.grid.periodic:
         # the wrapped diagonals k = +-(n - d) lie at periodic distance d
         offsets |= {s * (n - d) for d in range(1, near + 1) for s in (-1, 1)}
-    total = _squared_mass(e)
+    blocks = [(0, A.entries)] if isinstance(A, OperatorMatrix) else (
+        (r0, A.left[r0:r1] @ A.right) for r0, r1 in _row_blocks(n, n)
+    )
+    total = band = 0.0
+    for r0, rows in blocks:
+        total += _squared_mass(rows)
+        # diagonal k of the matrix is diagonal k + r0 of the rows from r0 on
+        band += sum(_squared_mass(np.diagonal(rows, k + r0)) for k in sorted(offsets))
     if total == 0.0:
         return 1.0
-    return sum(_squared_mass(np.diagonal(e, k)) for k in sorted(offsets)) / total
+    return band / total
 
 
 def _squared_mass(values: np.ndarray) -> float:

@@ -93,10 +93,10 @@ def test_criterion_5_product_impossibility():
 
 def test_criterion_6_kernel_equation_residuals():
     wide = fc.make_uniform_grid(-6.0, 6.0, 64, periodic=False)
-    _, gaussian_res = fc.kernel_pde_residual(fc.gaussian(), 1, 1, 1.0, 1.0, wide)
+    gaussian_res = fc.kernel_pde_residual(fc.gaussian(), 1, 1, 1.0, 1.0, wide)
 
     fgrid = fc.make_uniform_grid(0.0, 2 * np.pi, 32, periodic=True)
-    _, fourier_res = fc.kernel_pde_residual(
+    fourier_res = fc.kernel_pde_residual(
         fc.fourier(), 1, 0, 1.0, lambda y: -1j * np.asarray(y), fgrid
     )
 
@@ -104,8 +104,8 @@ def test_criterion_6_kernel_equation_residuals():
     gy = fc.make_uniform_grid(-1.0, 1.0, 32, periodic=False)
     zero = lambda y: np.zeros(np.shape(y))
     a = lambda x: np.asarray(x)
-    _, minus = fc.kernel_pde_residual(fc.exp_exp(-1), 1, 1, a, 1.0, gx, y_grid=gy, db=(zero,))
-    _, plus = fc.kernel_pde_residual(fc.exp_exp(+1), 1, 1, a, 1.0, gx, y_grid=gy, db=(zero,))
+    minus = fc.kernel_pde_residual(fc.exp_exp(-1), 1, 1, a, 1.0, gx, y_grid=gy, db=(zero,))
+    plus = fc.kernel_pde_residual(fc.exp_exp(+1), 1, 1, a, 1.0, gx, y_grid=gy, db=(zero,))
 
     ok = (
         gaussian_res < 1e-10
@@ -121,7 +121,7 @@ def test_criterion_7_riccati_kernel():
     grid = fc.make_uniform_grid(0.0, 1.0, 64, periodic=False)
     y2 = lambda y: np.asarray(y) ** 2
     kernel = fc.riccati_kernel(1.0, y2, lambda y: np.asarray(y), grid)
-    _, res = fc.kernel_pde_residual(
+    res = fc.kernel_pde_residual(
         kernel, 2, 0, 1.0, y2, grid, db=[lambda y: 2 * np.asarray(y)]
     )
     criterion("7 slope-equation kernel (b=y^2, g0=y) reproduces e^{xy}: "

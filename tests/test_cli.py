@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from funcoord.cli import INPUTS, SUITES, main
+from funcoord import (
+    Kernel,
+    KernelEvaluationError,
+    gaussian,
+    kernel_pde_residual,
+    make_uniform_grid,
+    residual_blocks,
+)
+from funcoord.cli import INPUTS, SUITES, _written_rows, main
+from funcoord.grid import csv_text
+from funcoord.kernels import _max_norm
 
 
 def run(argv):
@@ -194,6 +204,57 @@ def test_residual_gaussian_first_order(tmp_path, capsys):
     header, rows = read_csv(out / "residual.csv")
     assert header == ["x", "y", "R"]
     assert rows.shape == (24 * 24, 3)
+
+
+def joined_residual(*args, **kwargs):
+    x, values = zip(*residual_blocks(*args, **kwargs))
+    return np.concatenate(x), np.concatenate(values)
+
+
+def test_streamed_residual_csv_equals_the_whole_field_written_at_once(tmp_path, capsys):
+    # n = 300 streams the field in several row blocks; the one-pass writer
+    # must give the bytes of the whole field written by csv_text
+    out = tmp_path / "res"
+    assert run(["residual", "1", "1", "--kernel", "gaussian", "--a", "1", "--b", "1",
+                "--lo", "-6", "--hi", "6", "--n", "300", "--out", str(out)]) == 0
+    g = make_uniform_grid(-6.0, 6.0, 300)
+    x, values = joined_residual(gaussian(), 1, 1, 1.0, 1.0, g, db=[lambda y: np.zeros(np.shape(y))])
+    assert (out / "residual.csv").read_text() == csv_text(
+        ("x", "y", "R"), x[:, None], g.nodes[None, :], values
+    )
+    assert json.loads(capsys.readouterr().out)["max_norm"] == np.max(np.abs(values))
+
+
+def test_streamed_residual_csv_of_a_values_only_kernel(tmp_path):
+    # a kernel without partials takes the banded finite-difference path,
+    # which leaves its boundary-stencil rows out of the table
+    g = make_uniform_grid(0.0, 1.0, 200)
+    k = Kernel(id="values_only", eval=lambda x, y: np.exp(-np.asarray(x) * np.sin(y)))
+    a, b = (lambda x: 1.0 + np.asarray(x)), np.cos
+    path = tmp_path / "residual.csv"
+    norm = _max_norm(_written_rows(path, residual_blocks(k, 2, 0, a, b, g), g.nodes))
+    x, values = joined_residual(k, 2, 0, a, b, g)
+    assert x.size == g.n - 4
+    assert path.read_text() == csv_text(("x", "y", "R"), x[:, None], g.nodes[None, :], values)
+    assert norm == kernel_pde_residual(k, 2, 0, a, b, g) == np.max(np.abs(values))
+
+
+def test_streamed_residual_csv_is_removed_when_a_block_fails(tmp_path):
+    # the kernel's x-partial overflows past x = 0.9, in a row block after
+    # the first has been written
+    g = make_uniform_grid(0.0, 1.0, 200)
+    k = Kernel(
+        id="overflow",
+        eval=lambda x, y: np.ones(np.broadcast(x, y).shape),
+        dx_n=lambda x, y, q: np.where(np.asarray(x) > 0.9, np.inf, 0.0) + 0 * np.asarray(y),
+    )
+    path = tmp_path / "residual.csv"
+    rows = _written_rows(path, residual_blocks(k, 1, 0, 1.0, 1.0, g), g.nodes)
+    next(rows)
+    assert path.exists()
+    with pytest.raises(KernelEvaluationError):
+        _max_norm(rows)
+    assert not path.exists()
 
 
 def test_residual_fourier_with_complex_coefficient(tmp_path, capsys):

@@ -28,13 +28,14 @@ from funcoord import (
     kernel_pde_residual,
     make_uniform_grid,
     multiplication,
+    residual_blocks,
     riccati_kernel,
     translation_tgauss,
 )
 from funcoord.cli import KERNELS
 from funcoord.grid import OperatorMatrix
 from funcoord.kernels import (
-    _banded_rows,
+    _diff_rows,
     _fd_radius,
     _gaussian_sketch,
     _hermite,
@@ -431,15 +432,21 @@ def test_full_rank_matrix_takes_the_exact_path(n):
 # ---------------------------------------------------------------------------
 
 
+def residual_field(*args, **kwargs):
+    """The x nodes and the residual rows of residual_blocks, joined."""
+    x, values = zip(*residual_blocks(*args, **kwargs))
+    return np.concatenate(x), np.concatenate(values)
+
+
 def test_residual_gaussian_first_order(wide_grid):
-    _, norm = kernel_pde_residual(gaussian(), 1, 1, 1.0, 1.0, wide_grid)
+    norm = kernel_pde_residual(gaussian(), 1, 1, 1.0, 1.0, wide_grid)
     assert norm < 1e-10
 
 
 def test_residual_fourier_multiplication_form():
     g = make_uniform_grid(0.0, 2 * np.pi, 32, periodic=True)
     b = lambda y: -1j * np.asarray(y)
-    _, norm = kernel_pde_residual(fourier(), 1, 0, 1.0, b, g)
+    norm = kernel_pde_residual(fourier(), 1, 0, 1.0, b, g)
     assert norm < 1e-10
 
 
@@ -447,24 +454,24 @@ def test_residual_exp_exp_signs():
     gx = make_uniform_grid(0.0, 1.0, 16, periodic=False)
     gy = make_uniform_grid(-1.0, 1.0, 16, periodic=False)
     a = lambda x: np.asarray(x)
-    _, minus = kernel_pde_residual(exp_exp(-1), 1, 1, a, 1.0, gx, y_grid=gy)
-    _, plus = kernel_pde_residual(exp_exp(+1), 1, 1, a, 1.0, gx, y_grid=gy)
+    minus = kernel_pde_residual(exp_exp(-1), 1, 1, a, 1.0, gx, y_grid=gy)
+    plus = kernel_pde_residual(exp_exp(+1), 1, 1, a, 1.0, gx, y_grid=gy)
     assert minus < 1e-10
     assert plus > 1.0
 
 
 def test_residual_translation_kernel_identically_zero():
     g = make_uniform_grid(-4.0, 4.0, 24, periodic=False)
-    _, norm = kernel_pde_residual(translation_tgauss(), 1, 1, 1.0, 1.0, g)
+    norm = kernel_pde_residual(translation_tgauss(), 1, 1, 1.0, 1.0, g)
     assert norm < 1e-12
     # a kernel without partials differentiates its table along x, and on
     # the y side takes order 0 only: with b = 0 the field is d w / dx
     profile = lambda t: np.cos(t) * np.exp(-(t**2) / 4)
     plain = Kernel(id="plain", eval=lambda x, y: profile(np.asarray(x) - np.asarray(y)))
-    field, _ = kernel_pde_residual(plain, 1, 0, 1.0, 0.0, g)
-    t = field.x[:, None] - field.y[None, :]
+    x, values = residual_field(plain, 1, 0, 1.0, 0.0, g)
+    t = x[:, None] - g.nodes[None, :]
     exact = -(np.sin(t) + t / 2 * np.cos(t)) * np.exp(-(t**2) / 4)
-    assert field.x.size == g.n - 4 and np.max(np.abs(field.values - exact)) < 1e-2
+    assert x.size == g.n - 4 and np.max(np.abs(values - exact)) < 1e-2
     with pytest.raises(UnsupportedOrderError):
         kernel_pde_residual(plain, 1, 1, 1.0, 1.0, g)
 
@@ -481,21 +488,22 @@ def test_residual_separable_exponent_family():
         dx_n=lambda x, y, q: -(1.0 / (1.0 + np.asarray(x) ** 2)) * np.asarray(y) * w(x, y),
     )
     a = lambda x: 1.0 + np.asarray(x) ** 2
-    _, norm = kernel_pde_residual(k, 1, 0, a, b, g)
+    norm = kernel_pde_residual(k, 1, 0, a, b, g)
     assert norm < 1e-12
 
 
 def test_residual_interior_mask_on_fd_path():
     g = make_uniform_grid(0.0, 1.0, 16, periodic=False)
     k = riccati_kernel(1.0, lambda y: np.zeros(np.shape(y)), 0.0, g)
-    field, _ = kernel_pde_residual(k, 2, 0, 1.0, 0.0, g)
+    x, values = residual_field(k, 2, 0, 1.0, 0.0, g)
     # boundary-stencil rows are excluded from the x side only (m = 0)
-    assert field.x.size == g.n - 4 and field.y.size == g.n
+    assert np.array_equal(x, g.nodes[2:-2]) and values.shape == (g.n - 4, g.n)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 @pytest.mark.parametrize("periodic", [False, True])
 def test_banded_rows_equal_the_matrix_product(q, periodic):
+    # the residual's row products: banded off a periodic grid, dense on one
     g = make_uniform_grid(0.0, 1.0, 40, periodic=periodic)
     d = diff_matrix(g, q).entries
     table = np.exp(np.outer(g.nodes, np.linspace(-1.0, 1.0, 7)))
@@ -504,7 +512,7 @@ def test_banded_rows_equal_the_matrix_product(q, periodic):
     scale = np.max(np.abs(d) @ np.abs(table))
     # row blocks that start and end in the boundary rows and in the interior
     for r0, r1 in [(0, 40), (0, 2), (1, 9), (5, 36), (30, 40), (38, 39)]:
-        rows = _banded_rows(d, g, q, table, r0, r1)
+        rows = _diff_rows(g, q)(table, r0, r1)
         assert np.max(np.abs(rows - dense[r0:r1])) < 1e-12 * scale
 
 
@@ -519,16 +527,18 @@ def test_residual_row_blocks_match_the_dense_formula():
     )
     a = lambda x: 1.0 + np.asarray(x)
     b = lambda y: np.cos(np.asarray(y))
-    field, norm = kernel_pde_residual(k, 2, 0, a, b, g, y_grid=yg)
+    blocks = list(residual_blocks(k, 2, 0, a, b, g, y_grid=yg))
+    assert len(blocks) > 1
+    x, values = (np.concatenate(parts) for parts in zip(*blocks))
+    norm = kernel_pde_residual(k, 2, 0, a, b, g, y_grid=yg)
     w = k.eval(g.nodes[:, None], yg.nodes[None, :])
     dense = a(g.nodes)[:, None] * (diff_matrix(g, 2).entries @ w) - w * b(yg.nodes)[None, :]
     rx = _fd_radius(2)
     expected = dense[rx : g.n - rx]
-    assert field.values.shape == expected.shape
-    assert np.array_equal(field.x, g.nodes[rx : g.n - rx])
-    assert np.array_equal(field.y, yg.nodes)
-    assert np.max(np.abs(field.values - expected)) < 1e-10 * np.max(np.abs(dense))
-    assert norm == np.max(np.abs(field.values))
+    assert values.shape == expected.shape
+    assert np.array_equal(x, g.nodes[rx : g.n - rx])
+    assert np.max(np.abs(values - expected)) < 1e-10 * np.max(np.abs(dense))
+    assert norm == np.max(np.abs(values))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +552,7 @@ def test_riccati_reproduces_separable_exponential():
     k = riccati_kernel(1.0, y2, lambda y: np.asarray(y), g)
     table = k.table[2]
     assert np.max(np.abs(table - np.exp(np.outer(g.nodes, g.nodes)))) < 1e-12
-    _, norm = kernel_pde_residual(k, 2, 0, 1.0, y2, g, db=[lambda y: 2 * np.asarray(y)])
+    norm = kernel_pde_residual(k, 2, 0, 1.0, y2, g, db=[lambda y: 2 * np.asarray(y)])
     assert norm < 1e-6
 
 
@@ -567,7 +577,7 @@ def test_riccati_zero_data_gives_unit_kernel():
 def test_riccati_fixed_point_gives_plain_exponential():
     g = make_uniform_grid(0.0, 1.0, 64, periodic=False)
     k = riccati_kernel(1.0, 1.0, 1.0, g)
-    _, norm = kernel_pde_residual(k, 2, 0, 1.0, 1.0, g)
+    norm = kernel_pde_residual(k, 2, 0, 1.0, 1.0, g)
     assert norm < 1e-8
 
 

@@ -21,6 +21,7 @@ from funcoord import (
     transform_metric,
 )
 from funcoord.grid import OperatorMatrix, derivative_symbol
+from funcoord.operators import FactoredMatrix, conjugate_factored
 
 
 def random_well_conditioned(rng, n, spread=(0.5, 2.0)):
@@ -232,3 +233,20 @@ def test_conjugate_applies_the_pseudo_inverse_in_factored_form(kind):
     formed = w_inv.entries @ a.entries @ w.entries
     assert conj.condition == report
     assert np.max(np.abs(conj.entries - formed)) < tol * np.max(np.abs(formed))
+
+
+@pytest.mark.parametrize("n, periodic", [(512, False), (200, True), (64, False)])
+def test_factored_locality_equals_the_formed_conjugates(n, periodic):
+    # scored block by block of rows, the conjugate is never formed; n = 512
+    # takes the sketched SVD and many row blocks, n = 64 one block
+    g = make_uniform_grid(-6.0, 6.0, n, periodic=periodic)
+    w = discretize(gaussian(), g)
+    a = g.nodes.copy()
+    factored = conjugate_factored(a, w)
+    assert isinstance(factored, FactoredMatrix) and factored.left.shape[0] == n
+    formed = conjugate(a, w)
+    assert np.array_equal(formed.entries, factored.left @ factored.right)
+    assert formed.condition == factored.condition
+    for bw in (0, 2, 5):
+        expected = locality_score(formed, bw)
+        assert abs(locality_score(factored, bw) - expected) <= 1e-14 * expected
