@@ -390,9 +390,8 @@ def _suite_riccati(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     y2 = COEFFICIENTS["y^2"]
     kernel = riccati_kernel(1.0, y2.fn, COEFFICIENTS["y"].fn, grid)
     if "csv" in config.formats:
-        from .kernels import table_blocks
-
-        _write_text(Path(config.out) / "riccati_table.csv", table_blocks(kernel))
+        table = csv_blocks(("x", "y", "w"), *kernel.table)
+        _write_text(Path(config.out) / "riccati_table.csv", table)
     residual = kernel_pde_residual(kernel, 2, 0, 1.0, y2.fn, grid)
     return [
         VerificationReport.build(
@@ -486,7 +485,7 @@ def _written_rows(path: Path, blocks, y: np.ndarray) -> Iterator:
         with path.open("w", encoding="utf-8") as fh:
             for k, (x, r) in enumerate(blocks):
                 # the header goes before the first block only
-                fh.writelines(islice(csv_blocks(("x", "y", "R"), x[:, None], y[None, :], r), k > 0, None))
+                fh.writelines(islice(csv_blocks(("x", "y", "R"), x, y, r), k > 0, None))
                 yield x, r
     except Exception:
         path.unlink(missing_ok=True)

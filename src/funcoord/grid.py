@@ -18,11 +18,8 @@ calls, while a large one lives only as long as its caller holds it.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import add
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -123,70 +120,38 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def csv_text(names: Sequence[str], *columns) -> str:
-    """CSV text of named columns: the joined :func:`csv_blocks`."""
-    return "".join(csv_blocks(names, *columns))
+def csv_text(names: Sequence[str], x, values) -> str:
+    """CSV text of a sample column: the joined :func:`csv_blocks`."""
+    return "".join(csv_blocks(names, x, None, values))
 
 
-def csv_blocks(names: Sequence[str], *columns) -> Iterator[str]:
-    """CSV of named columns with 17-significant-digit numbers, which
-    round-trip exactly, yielded as the header line and then one text per
-    block of rows, each ending in a newline. The columns broadcast against
-    each other, rows follow C order, and a complex column expands to
-    ``re,im``.
+def csv_blocks(names: Sequence[str], x, y, values) -> Iterator[str]:
+    """CSV of sampled values with 17-significant-digit numbers, which
+    round-trip exactly, yielded as the header line and then texts of rows,
+    each ending in a newline. A complex value expands to ``re,im``.
 
-    A block holds the rows of one leading index of the broadcast table (a
-    1-D table is one block). A column with fewer entries than the table,
-    such as ``x[:, None]`` or ``y[None, :]``, is formatted once per entry
-    and its text copied into each block's row template; the full-size
-    columns fill that template with one ``%`` call per block."""
-    header, parts = [], []
-    for name, column in zip(names, map(np.asarray, columns)):
-        if np.iscomplexobj(column):
-            header += ["re", "im"]
-            parts += [column.real, column.imag]
-        else:
-            header.append(name)
-            parts.append(column)
-    shape = np.broadcast_shapes(*(p.shape for p in parts))
-    size, width = math.prod(shape), shape[-1]
-    blocks = size // width
-    # per column, the cell each block puts in its row template: the
-    # placeholder, one text for every row, or one text per row
-    cells, full = [], []
-    for p in parts:
-        if p.size == size:
-            cells.append(["%.17g"] * blocks)
-            full.append(np.broadcast_to(p, shape).reshape(blocks, width))
-            continue
-        text = np.array(["%.17g" % v for v in p.ravel().tolist()], dtype=object)
-        text = np.broadcast_to(text.reshape(p.shape), shape).reshape(blocks, width)
-        cells.append(text[:, 0].tolist() if text.strides[1] == 0 else text)
-    yield ",".join(header) + "\n"
-    for i in range(blocks):
-        template = _block_template([c[i] for c in cells], width) + "\n"
-        values = [f[i].tolist() for f in full]
-        args = values[0] if len(values) == 1 else chain.from_iterable(zip(*values))
-        yield template % tuple(args)
-
-
-def _block_template(cells: list, width: int) -> str:
-    """``width`` comma-separated rows joined by newlines. A cell is one
-    string for every row, or an array or list of one string per row."""
-    prefix, rows, pending = "", None, ""
-    for k, cell in enumerate(cells):
-        if k:
-            pending += ","
-        if isinstance(cell, str):
-            pending += cell
-        elif rows is None:
-            prefix, rows, pending = pending, cell, ""
-        else:
-            rows, pending = map(add, map(add, rows, repeat(pending)), cell), ""
-    if rows is None:
-        return "\n".join(repeat(pending, width))
-    # the text before the first and after the last per-row cell joins the rows
-    return prefix + (pending + "\n" + prefix).join(rows) + pending
+    With ``y`` None, ``values[i]`` is the sample at ``x[i]``: rows
+    ``x,value`` in one text. Otherwise ``values[i, j]`` belongs to
+    ``(x[i], y[j])``: one text per ``x``, of rows ``x,y,value``. Each
+    coordinate is formatted once, and the values fill a row template
+    with one ``%`` call per text."""
+    values = np.asarray(values)
+    is_complex = np.iscomplexobj(values)
+    cell = "%.17g,%.17g" if is_complex else "%.17g"
+    xs = ["%.17g" % v for v in np.asarray(x).tolist()]
+    if values.shape != (len(xs),) + (() if y is None else (len(y),)):
+        raise DomainError(f"values of shape {values.shape} do not match the coordinates")
+    yield ",".join([*names[:-1], *(("re", "im") if is_complex else names[-1:])]) + "\n"
+    if is_complex:
+        # each row as re, im pairs, a view of contiguous input
+        values = np.ascontiguousarray(values).view(values.real.dtype)
+    if y is None:
+        yield "".join("%s,%s\n" % (t, cell) for t in xs) % tuple(values.tolist())
+        return
+    ys = ["%.17g" % v for v in np.asarray(y).tolist()]
+    for t, row in zip(xs, values):
+        template = t + "," + (",%s\n%s," % (cell, t)).join(ys) + "," + cell + "\n"
+        yield template % tuple(row.tolist())
 
 
 def make_uniform_grid(lo: float, hi: float, n: int, periodic: bool = False) -> Grid:

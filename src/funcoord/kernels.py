@@ -20,20 +20,20 @@ matrix-vector product. The catalog covers:
 
 Partials come from one callable per axis (``dx_n``/``dy_n``) that answers
 every order it is asked for or raises :class:`UnsupportedOrderError`; a
-kernel without the callable takes finite differences of ``eval`` (the
-tabulated Riccati kernel). Translation kernels carry their profile
-(``profile_n``) and derive their values and partials from it; diagonal
-kernels carry only their ``factor``. :func:`kernel_table` returns the
-Nystrom table (quadrature weights absorbed into the columns), checked for
-non-finite entries.
+kernel without the callable takes finite differences of ``eval``. The
+tabulated Riccati kernel has values on its nodes only, so its residual
+takes differences along the grid instead. Translation kernels carry
+their profile (``profile_n``) and derive their values and partials from
+it; diagonal kernels carry only their ``factor``. :func:`kernel_table`
+returns the Nystrom table (quadrature weights absorbed into the
+columns), checked for non-finite entries.
 
 Application integrates the declared jumps of a generalized function
 exactly: in closed form for translation kernels whose profile has
 antiderivatives (the Gaussian's repeated erfc integrals, which its profile
 gives at negative orders, and ``t e^{-t^2}``, which is -1/2 the Gaussian's
 derivative) and by one vector-valued adaptive quadrature per jump for
-every other kernel. scipy is imported only where that quadrature or an
-off-node interpolation runs.
+every other kernel. scipy is imported only where that quadrature runs.
 
 Inversion is always regularized (truncated SVD, by a randomized range
 finder for matrices of low numerical rank); deconvolution against a
@@ -767,11 +767,11 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
 
     integrated per column by the classical 4th-order Runge-Kutta method,
     with ``f`` recovered by cumulative trapezoid quadrature (``f(lo,.) = 0``).
-    The result is tabulated on the grid rectangle: the kernel returns the
-    table at tabulation nodes and interpolates bicubically between them
-    (the spline is built on the first off-node call). On the full node
-    grid, ``w(x[:, None], y[None, :])``, it returns the stored table
-    itself, which is read-only. Raises
+    The result is tabulated on the grid rectangle, and the kernel is
+    evaluated on its nodes only: any other argument raises
+    :class:`DomainError`. On the full node grid, ``w(x[:, None],
+    y[None, :])``, it returns the stored table itself, which is read-only;
+    other node arguments are looked up in it. Raises
     :class:`RiccatiBlowupError` if ``|g|`` exceeds 1e6, reporting the
     blow-up location.
     """
@@ -811,10 +811,7 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
     _require_finite("riccati", values, x, y)
     values.setflags(write=False)
 
-    spline = None
-
     def w(xv, yv):
-        nonlocal spline
         xa, ya = np.asarray(xv, dtype=float), np.asarray(yv, dtype=float)
         if np.array_equal(xa, x[:, None]) and np.array_equal(ya, y[None, :]):
             # the full node grid: the table itself, not a copy of it
@@ -822,31 +819,18 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
         # nodes are looked up on each argument's own shape, before broadcasting
         i = np.minimum(np.searchsorted(x, xa), grid.n - 1)
         j = np.minimum(np.searchsorted(y, ya), grid.n - 1)
-        if np.array_equal(x[i], xa) and np.array_equal(y[j], ya):
-            out = values[i, j]
-        else:
-            if spline is None:
-                from scipy.interpolate import RectBivariateSpline
-
-                spline = RectBivariateSpline(x, y, values, kx=3, ky=3)
-            xb, yb = np.broadcast_arrays(xa, ya)
-            out = spline.ev(xb.ravel(), yb.ravel()).reshape(xb.shape)
+        if not (np.array_equal(x[i], xa) and np.array_equal(y[j], ya)):
+            raise DomainError("kernel 'riccati' is tabulated on its grid nodes only")
+        out = values[i, j]
         return out if out.shape else float(out)
 
     return Kernel(id="riccati", eval=w, table=(x, y, values))
 
 
 def table_csv(kernel: Kernel) -> str:
-    """CSV text of a tabulated kernel: the joined :func:`table_blocks`."""
-    return "".join(table_blocks(kernel))
-
-
-def table_blocks(kernel: Kernel) -> Iterator[str]:
-    """CSV of a tabulated kernel as ``x,y,w`` triples (17 significant
-    digits), in the blocks of :func:`funcoord.grid.csv_blocks`: the header,
-    then the rows of one ``x`` each. Raises :class:`DomainError` for
-    kernels without a table."""
+    """CSV text of a tabulated kernel as ``x,y,w`` triples (17 significant
+    digits), from :func:`funcoord.grid.csv_blocks`. Raises
+    :class:`DomainError` for kernels without a table."""
     if kernel.table is None:
         raise DomainError(f"kernel {kernel.id!r} carries no tabulation")
-    x, y, values = kernel.table
-    return csv_blocks(("x", "y", "w"), x[:, None], y[None, :], values)
+    return "".join(csv_blocks(("x", "y", "w"), *kernel.table))

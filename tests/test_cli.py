@@ -14,14 +14,15 @@ from scipy.special import erf
 from funcoord import (
     Kernel,
     KernelEvaluationError,
+    discretize,
     gaussian,
     kernel_pde_residual,
     make_uniform_grid,
     residual_blocks,
 )
 from funcoord.cli import INPUTS, SUITES, _written_rows, main
-from funcoord.grid import csv_text
-from funcoord.kernels import _max_norm
+from funcoord.grid import csv_blocks
+from funcoord.kernels import _max_norm, _truncated_svd
 
 
 def run(argv):
@@ -213,14 +214,14 @@ def joined_residual(*args, **kwargs):
 
 def test_streamed_residual_csv_equals_the_whole_field_written_at_once(tmp_path, capsys):
     # n = 300 streams the field in several row blocks; the one-pass writer
-    # must give the bytes of the whole field written by csv_text
+    # must give the bytes of the whole field written at once
     out = tmp_path / "res"
     assert run(["residual", "1", "1", "--kernel", "gaussian", "--a", "1", "--b", "1",
                 "--lo", "-6", "--hi", "6", "--n", "300", "--out", str(out)]) == 0
     g = make_uniform_grid(-6.0, 6.0, 300)
     x, values = joined_residual(gaussian(), 1, 1, 1.0, 1.0, g, db=[lambda y: np.zeros(np.shape(y))])
-    assert (out / "residual.csv").read_text() == csv_text(
-        ("x", "y", "R"), x[:, None], g.nodes[None, :], values
+    assert (out / "residual.csv").read_text() == "".join(
+        csv_blocks(("x", "y", "R"), x, g.nodes, values)
     )
     assert json.loads(capsys.readouterr().out)["max_norm"] == np.max(np.abs(values))
 
@@ -235,7 +236,7 @@ def test_streamed_residual_csv_of_a_values_only_kernel(tmp_path):
     norm = _max_norm(_written_rows(path, residual_blocks(k, 2, 0, a, b, g), g.nodes))
     x, values = joined_residual(k, 2, 0, a, b, g)
     assert x.size == g.n - 4
-    assert path.read_text() == csv_text(("x", "y", "R"), x[:, None], g.nodes[None, :], values)
+    assert path.read_text() == "".join(csv_blocks(("x", "y", "R"), x, g.nodes, values))
     assert norm == kernel_pde_residual(k, 2, 0, a, b, g) == np.max(np.abs(values))
 
 
@@ -324,6 +325,94 @@ def test_csv_round_trip_is_byte_identical(tmp_path):
             ",".join(format(v, ".17g") for v in row) for row in rows
         ) + "\n"
         assert re_emitted == first
+
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 0.1 + 0.2,
+                     -np.nextafter(1.0, 2.0), 1e300])
+
+
+def specials(shape, dtype=float):
+    # nan, +-inf, -0.0, subnormals and values that need all 17 digits,
+    # tiled over shape; a complex array pairs each with another
+    values = np.empty(shape, dtype=dtype)
+    values.real = np.resize(_SPECIAL, shape)
+    if dtype is complex:
+        values.imag = np.resize(_SPECIAL[::-1], shape)
+    return values
+
+
+def assert_reads_back(path, header, *columns):
+    # each cell parses to its value bit for bit: repr tells -0.0 from 0.0
+    # and prints every nan as nan
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == header
+    cells = [[repr(float(c)) for c in line.split(",")] for line in lines[1:]]
+    expected = [[repr(v) for v in row] for row in zip(*(np.ravel(c).tolist() for c in columns))]
+    assert cells == expected
+
+
+def value_columns(values):
+    # a complex value is written as re, im
+    return (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+
+
+def table_columns(x, y, values):
+    # the x, y and value columns of an x-by-y table in row order
+    return (np.repeat(x, len(y)), np.tile(y, len(x)), *value_columns(values))
+
+
+@pytest.mark.parametrize("dtype, header", [(float, ["x", "value"]), (complex, ["x", "re", "im"])])
+def test_transform_csv_reads_back_bit_exactly(tmp_path, monkeypatch, dtype, header):
+    gf = make_gf_json(tmp_path, "delta.json", {
+        "smooth": None, "jumps": [], "singular": [[0.5, 1, -0.25]], "grid": GRID_DOC,
+    })
+    values = specials(GRID_DOC["n"], dtype)
+    monkeypatch.setattr("funcoord.cli.apply", lambda kernel, gf: values)
+    assert run(["transform", "--input", gf, "--kernel", "gaussian", "--out", str(tmp_path)]) == 0
+    x = make_uniform_grid(-6.0, 6.0, GRID_DOC["n"]).nodes
+    assert_reads_back(tmp_path / "transform.csv", header, x, *value_columns(values))
+
+
+def test_transform_inverse_csv_reads_back_bit_exactly(tmp_path):
+    g = make_uniform_grid(-6.0, 6.0, GRID_DOC["n"])
+    smooth = np.exp(-g.nodes**2) * np.sin(3 * g.nodes)
+    gf = make_gf_json(tmp_path, "smooth.json", {
+        "smooth": smooth.tolist(), "jumps": [], "singular": [], "grid": GRID_DOC,
+    })
+    assert run(["transform", "--input", gf, "--kernel", "gaussian", "--invert",
+                "--threshold", "1e-8", "--out", str(tmp_path)]) == 0
+    u, s, vh, _ = _truncated_svd(discretize(gaussian(), g).entries, 1e-8)
+    recovered = vh.conj().T @ ((u.conj().T @ smooth) / s)
+    assert_reads_back(tmp_path / "transform_inverse.csv", ["x", "value"], g.nodes, recovered)
+
+
+def test_riccati_table_csv_reads_back_bit_exactly(tmp_path, monkeypatch):
+    def fake_riccati(a, b, g0, grid):
+        # a zero kernel passes the suite; its table holds the special values
+        zero = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return Kernel(id="riccati", eval=zero, table=(grid.nodes, grid.nodes[::-1], table))
+
+    table = specials((16, 16))
+    monkeypatch.setattr("funcoord.cli.riccati_kernel", fake_riccati)
+    assert run(["verify", "--suite", "riccati", "--n", "16", "--out", str(tmp_path)]) == 0
+    x = make_uniform_grid(0.0, 1.0, 16).nodes
+    columns = table_columns(x, x[::-1], table)
+    assert_reads_back(tmp_path / "riccati_table.csv", ["x", "y", "w"], *columns)
+
+
+@pytest.mark.parametrize("dtype, header", [(float, ["x", "y", "R"]),
+                                           (complex, ["x", "y", "re", "im"])])
+def test_residual_csv_reads_back_bit_exactly(tmp_path, monkeypatch, dtype, header):
+    field = specials((24, 24), dtype)
+    # two row blocks: the header goes before the first only
+    blocks = lambda kernel, n, m, a, b, grid, db: iter([
+        (grid.nodes[:5], field[:5]), (grid.nodes[5:], field[5:]),
+    ])
+    monkeypatch.setattr("funcoord.cli.residual_blocks", blocks)
+    assert run(["residual", "1", "1", "--kernel", "gaussian", "--a", "1", "--b", "1",
+                "--lo", "-6", "--hi", "6", "--n", "24", "--out", str(tmp_path)]) == 0
+    x = make_uniform_grid(-6.0, 6.0, 24).nodes
+    assert_reads_back(tmp_path / "residual.csv", header, *table_columns(x, x, field))
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -17,7 +17,7 @@ from funcoord import (
 )
 from funcoord import grid as grid_module
 from funcoord.cli import main
-from funcoord.grid import OperatorMatrix, csv_text, derivative_symbol, fd_weights
+from funcoord.grid import OperatorMatrix, csv_blocks, csv_text, derivative_symbol, fd_weights
 
 
 def test_trapezoid_grid_nodes_and_weights():
@@ -272,24 +272,34 @@ _SPECIAL_COMPLEX = np.empty(_SPECIAL.size, dtype=complex)
 _SPECIAL_COMPLEX.real, _SPECIAL_COMPLEX.imag = _SPECIAL[::-1], _SPECIAL
 
 
-@pytest.mark.parametrize("names, columns", [
-    (("x", "value"), (_X, _TABLE[:, 0])),
-    (("x", "value"), (_X, _X + 1j * _TABLE[:, 1])),
-    (("x", "y", "w"), (_X[:, None], _Y[None, :], _TABLE)),
-    (("x", "y", "R"), (_X[:, None], _Y[None, :], _TABLE - 2j * _TABLE[::-1])),
-    (("i", "j", "value"), (np.arange(64)[:, None], np.arange(70)[None, :], _TABLE)),
-    (("x", "y", "w"), (_X[:3, None], _Y[None, :5], _TABLE[:3, :5])),
-    (("w", "x", "v"), (_TABLE, _X[:, None], 2.0 * _TABLE)),
-    (("y", "x"), (_Y[None, :], _X[:, None])),
-    (("x", "y", "w"), (_X[:, None], _Y[None, :1], _TABLE[:, :1])),
-    (("x", "y", "w"), (_SPECIAL[:, None], _SPECIAL[None, :], _SPECIAL_TABLE)),
-    (("x", "value"), (_SPECIAL, _SPECIAL_COMPLEX)),
-    (("t", "u", "v"), (_TABLE[:2, :12].reshape(2, 3, 4), _Y[:3, None], _X[:4])),
-], ids=["1d", "1d-complex", "xyw", "xyw-complex", "ij-int", "xyw-small", "full-first",
-        "no-full", "width-1", "special", "1d-special", "3d"])
-def test_csv_text_matches_row_by_row_reference(names, columns):
-    got = csv_text(names, *columns).split("\n")
+@pytest.mark.parametrize("names, x, y, values", [
+    (("x", "value"), _X, None, _TABLE[:, 0]),
+    (("x", "value"), _X, None, _X + 1j * _TABLE[:, 1]),
+    (("x", "y", "w"), _X, _Y, _TABLE),
+    (("x", "y", "R"), _X, _Y, _TABLE - 2j * _TABLE[::-1]),
+    (("i", "j", "value"), np.arange(64), np.arange(70), _TABLE),
+    (("x", "y", "w"), _X[:3], _Y[:5], _TABLE[:3, :5]),
+    (("x", "y", "w"), _X, _Y[:1], _TABLE[:, :1]),
+    (("x", "y", "w"), _SPECIAL, _SPECIAL, _SPECIAL_TABLE),
+    (("x", "value"), _SPECIAL, None, _SPECIAL_COMPLEX),
+    (("x", "y", "R"), _X[::2], _Y[::3], (_TABLE - 2j * _TABLE[::-1])[::2, ::3]),
+], ids=["1d", "1d-complex", "xyw", "xyw-complex", "ij-int", "xyw-small", "width-1", "special",
+        "1d-special", "xyw-complex-strided"])
+def test_csv_text_matches_row_by_row_reference(names, x, y, values):
+    if y is None:
+        got = csv_text(names, x, values).split("\n")
+        columns = (x, values)
+    else:
+        got = "".join(csv_blocks(names, x, y, values)).split("\n")
+        columns = (x[:, None], y[None, :], values)
     want = _reference_csv(names, *columns).split("\n")
     # report the first differing line, not a diff of the whole text
     first = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
     assert first is None and len(got) == len(want), (first, len(got), len(want))
+
+
+def test_csv_blocks_rejects_values_that_do_not_match_the_coordinates():
+    with pytest.raises(DomainError):
+        csv_text(("x", "value"), _X, _X[:-1])
+    with pytest.raises(DomainError):
+        next(csv_blocks(("x", "y", "w"), _X, _Y[:-1], _TABLE))

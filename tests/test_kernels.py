@@ -595,11 +595,19 @@ def test_riccati_rejects_vanishing_coefficient():
         riccati_kernel(lambda x: np.asarray(x), 1.0, 0.0, g)
 
 
-def test_riccati_interpolates_between_nodes():
+def test_riccati_is_evaluated_on_its_nodes_only():
     g = make_uniform_grid(0.0, 1.0, 32, periodic=False)
     k = riccati_kernel(1.0, lambda y: np.asarray(y) ** 2, lambda y: np.asarray(y), g)
-    # bicubic interpolation of exp(x y) off the tabulation nodes
-    assert abs(k.eval(0.515, 0.335) - np.exp(0.515 * 0.335)) < 1e-6
+    x, y, table = k.table
+    # scattered node pairs are looked up in the table exactly
+    i, j = np.array([0, 31, 7, 7, 20]), np.array([5, 0, 31, 7, 13])
+    assert np.array_equal(k.eval(x[i], y[j]), table[i, j])
+    for xv, yv in [(0.515, y[3]), (x[3], 0.335), (x[:4], y[:4] + 1e-9), (-1.0, y[0])]:
+        with pytest.raises(DomainError, match="riccati"):
+            k.eval(xv, yv)
+    # finite differences of the values would step off the nodes
+    with pytest.raises(DomainError, match="riccati"):
+        k.partial_x(x[3], y[3], 1)
 
 
 def test_tabulated_kernel_exports_csv_triples():
