@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -256,58 +256,36 @@ def _canonical_jumps(jumps) -> tuple:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Sampled test function with derivative samples up to some order.
-
-    ``derivatives[q]`` holds samples of the q-th derivative; order 0 is the
-    function itself. Pointwise derivative values at off-node locations are
-    recovered by cubic interpolation.
+    """Test function given by its derivatives: ``fns[q]`` is the callable
+    q-th derivative, order 0 the function itself. ``values`` samples it on
+    the grid once; derivative values at any point are evaluated exactly.
     """
 
     __test__ = False  # not a pytest class despite the name
 
     grid: Grid
-    derivatives: Mapping[int, np.ndarray]
+    fns: Sequence[Callable]
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        derivs = {}
-        for q, samples in self.derivatives.items():
-            derivs[int(q)] = self.grid.require_samples(samples, f"derivative {q}")
-        if 0 not in derivs:
+        object.__setattr__(self, "fns", tuple(self.fns))
+        if not self.fns:
             raise DomainError("test function must supply order-0 values")
-        object.__setattr__(self, "derivatives", derivs)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.derivatives[0]
-
-    @classmethod
-    def from_callables(cls, grid: Grid, fns: Sequence) -> "TestFunction":
-        """Build from analytic callables ``fns[q]`` for each derivative order."""
-        return cls(grid, {q: np.asarray(fn(grid.nodes), dtype=float) for q, fn in enumerate(fns)})
+        values = np.asarray(self.fns[0](self.grid.nodes), dtype=float)
+        object.__setattr__(self, "values", self.grid.require_samples(values, "test function"))
 
     def derivative_at(self, q: int, x0: float) -> float:
-        if q not in self.derivatives:
+        if not 0 <= q < len(self.fns):
             raise DomainError(f"test function lacks derivative order {q}")
-        from scipy.interpolate import CubicSpline
-
-        nodes = self.grid.nodes
-        samples = self.derivatives[q]
-        if self.grid.periodic:
-            # close the period so interpolation covers (lo, hi)
-            nodes = np.append(nodes, self.grid.hi)
-            samples = np.append(samples, samples[0])
-            spline = CubicSpline(nodes, samples, bc_type="periodic")
-        else:
-            spline = CubicSpline(nodes, samples)
-        return float(spline(x0))
+        return float(self.fns[q](x0))
 
 
 def pair(f: GeneralizedFunction, test: TestFunction) -> float:
     """Dual pairing ``(f, test)``.
 
     Quadrature of ``smooth * test`` plus, for each singular term,
-    ``a * (-1)^q * test^(q)(x0)`` with the derivative value interpolated
-    from the supplied samples. Raises :class:`DomainError` if the test
+    ``a * (-1)^q * test^(q)(x0)`` with the derivative value evaluated
+    from the supplied callable. Raises :class:`DomainError` if the test
     function lacks a required derivative order.
     """
     if not _same_grid(f.grid, test.grid):

@@ -29,10 +29,10 @@ returns the Nystrom table (quadrature weights absorbed into the
 columns), checked for non-finite entries.
 
 Application integrates the declared jumps of a generalized function
-exactly: in closed form for translation kernels whose profile has
+exactly: in closed form for translation kernels, from their profile's
 antiderivatives (the Gaussian's repeated erfc integrals, which its profile
 gives at negative orders, and ``t e^{-t^2}``, which is -1/2 the Gaussian's
-derivative) and by one vector-valued adaptive quadrature per jump for
+derivative), and by one vector-valued adaptive quadrature per jump for
 every other kernel. scipy is imported only where that quadrature runs.
 
 Inversion is always regularized (truncated SVD, by a randomized range
@@ -132,12 +132,13 @@ class Kernel:
 
     ``profile_n(t, q)`` marks a translation kernel ``f(x - y)``: it is the
     ``q``-th derivative of ``f``, from which values and partials derive and
-    which periodizes the kernel on periodic grids; a profile may also accept
-    ``q < 0`` as the ``-q``-fold antiderivative from ``-inf`` and raises
-    :class:`UnsupportedOrderError` otherwise. ``factor`` marks a diagonal kernel ``factor(x) delta(x - y)``
-    (``multiplication``; ``dilation`` is a constant factor). It has no
-    pointwise values: discretization and application multiply by the
-    factor, and every pointwise access raises :class:`DomainError`.
+    which periodizes the kernel on periodic grids; at ``q < 0`` it is the
+    ``-q``-fold antiderivative from ``-inf``, which jump images need, or
+    raises :class:`UnsupportedOrderError`. ``factor`` marks a diagonal
+    kernel ``factor(x) delta(x - y)`` (``multiplication``; ``dilation`` is a
+    constant factor). It has no pointwise values: discretization and
+    application multiply by the factor, and every pointwise access raises
+    :class:`DomainError`.
     """
 
     id: str
@@ -147,7 +148,6 @@ class Kernel:
     dy_n: Optional[Callable] = None
     factor: Optional[Callable] = None
     profile_n: Optional[Callable] = None
-    tail_integrable: bool = False
     frequency_columns: bool = False
     table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
@@ -270,7 +270,7 @@ def gaussian() -> Kernel:
             return value
         return (-1.0) ** q * _hermite(q, t) * np.exp(-(t**2))
 
-    return _translation("gaussian", profile, tail_integrable=True)
+    return _translation("gaussian", profile)
 
 
 def translation_tgauss() -> Kernel:
@@ -281,12 +281,10 @@ def translation_tgauss() -> Kernel:
     antiderivatives that give its jump images in closed form.
     """
     gauss = gaussian().profile_n
-    return _translation(
-        "translation_tgauss", lambda t, q=0: -0.5 * gauss(t, q + 1), tail_integrable=True
-    )
+    return _translation("translation_tgauss", lambda t, q=0: -0.5 * gauss(t, q + 1))
 
 
-def _translation(id: str, profile: Callable, tail_integrable: bool) -> Kernel:
+def _translation(id: str, profile: Callable) -> Kernel:
     """Translation kernel ``f(x - y)`` from its profile ``profile(t, q) = f^(q)(t)``:
     values ``profile(x - y, 0)``, x-partials ``profile(x - y, q)`` and
     y-partials ``(-1)^q profile(x - y, q)``."""
@@ -297,7 +295,6 @@ def _translation(id: str, profile: Callable, tail_integrable: bool) -> Kernel:
         dx_n=lambda x, y, q: profile(t(x, y), q),
         dy_n=lambda x, y, q: (-1.0) ** q * profile(t(x, y), q),
         profile_n=profile,
-        tail_integrable=tail_integrable,
     )
 
 
@@ -471,23 +468,19 @@ def quad(fn, lo, hi):
 
 
 def _jump_image(kernel: Kernel, x: np.ndarray, x0: float, order: int, hi: float):
-    """``int_{x0} w(x, t) (t - x0)^order / order! dt`` at each of ``x``,
-    to +infinity for kernels with integrable tails and to ``hi`` otherwise.
+    """``int_{x0} w(x, t) (t - x0)^order / order! dt`` at each of ``x``.
 
-    For a translation kernel ``f(x - t)`` integrated to +infinity this is,
-    by Cauchy's formula for repeated integration, the (order+1)-fold
-    antiderivative of ``f`` at ``x - x0``: the profile at a negative order,
-    where the profile supports one. Otherwise one adaptive quadrature
-    integrates the vector of all points at once.
+    A translation kernel ``f(x - t)`` is integrated to +infinity, which by
+    Cauchy's formula for repeated integration is the (order+1)-fold
+    antiderivative of ``f`` at ``x - x0``, the profile at a negative order
+    (a profile without one raises :class:`UnsupportedOrderError`). Every
+    other kernel is integrated to ``hi`` by one adaptive quadrature over
+    the vector of all points at once.
     """
-    if kernel.tail_integrable and kernel.profile_n is not None:
-        try:
-            return kernel.profile_n(x - x0, -(order + 1))
-        except UnsupportedOrderError:
-            pass
-    upper = np.inf if kernel.tail_integrable else hi
+    if kernel.profile_n is not None:
+        return kernel.profile_n(x - x0, -(order + 1))
     fact = math.factorial(order)
-    image, _ = quad(lambda t: kernel.eval(x, t) * (t - x0) ** order / fact, x0, upper)
+    image, _ = quad(lambda t: kernel.eval(x, t) * (t - x0) ** order / fact, x0, hi)
     return image
 
 
@@ -501,12 +494,11 @@ def apply(
     * the continuous remainder of the smooth part (declared jump structure
       subtracted) goes through the Nystrom matrix;
     * each declared jump ``(x0, k, h)`` contributes the exact integral
-      ``h * int_{x0} w(x, y) (y - x0)^k / k! dy`` (extended to +infinity
-      for kernels with integrable tails, truncated at ``grid.hi``
-      otherwise): in closed form for the Gaussian and ``t e^{-t^2}``
-      translation kernels, whose profiles have antiderivatives (repeated
-      erfc integrals), and by one vector-valued adaptive quadrature over
-      all output points for every other kernel;
+      ``h * int_{x0} w(x, y) (y - x0)^k / k! dy``: to +infinity in closed
+      form for translation kernels, from their profile's antiderivatives
+      (repeated erfc integrals for the Gaussian and ``t e^{-t^2}``), and
+      to ``grid.hi`` by one vector-valued adaptive quadrature over all
+      output points for every other kernel;
     * each delta term contributes ``a * (-1)^q * d^q/dy^q w(x, x0)``.
 
     ``out_nodes`` selects evaluation points other than the grid nodes

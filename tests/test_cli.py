@@ -568,11 +568,10 @@ def test_dilation_kernel_takes_its_constant_from_the_config(tmp_path):
 
 def test_verify_never_imports_scipy(tmp_path):
     # scipy is loaded only by quadrature of jumps under kernels without
-    # closed-form images and by off-node interpolation, which no default
-    # suite needs; seeded draws come from the standard library, so
-    # numpy.random (and the hashlib that its secrets import loads) stays
-    # out too, as does numpy.polynomial, whose Hermite evaluation funcoord
-    # does itself
+    # closed-form images, which no default suite needs; seeded draws come
+    # from the standard library, so numpy.random (and the hashlib that its
+    # secrets import loads) stays out too, as does numpy.polynomial, whose
+    # Hermite evaluation funcoord does itself
     script = (
         "import sys\n"
         "import funcoord.cli\n"

@@ -1,6 +1,10 @@
 """Generalized functions: pairing, differentiation, canonical form."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ def bump_test_function(grid, max_order, mu=0.0, s=1.0):
 
         return fn
 
-    return TestFunction.from_callables(grid, [deriv(q) for q in range(max_order + 1)])
+    return TestFunction(grid, [deriv(q) for q in range(max_order + 1)])
 
 
 @pytest.fixture
@@ -63,8 +67,41 @@ def test_delta_derivative_sign_convention(wide_grid):
 
 def test_step_pairs_to_half_gaussian_integral(wide_grid):
     f = heaviside(wide_grid)
-    phi = TestFunction.from_callables(wide_grid, [lambda x: np.exp(-np.asarray(x) ** 2)])
+    phi = TestFunction(wide_grid, [lambda x: np.exp(-np.asarray(x) ** 2)])
     assert abs(pair(f, phi) - np.sqrt(np.pi) / 2) < 1e-8
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_delta_derivative_off_the_nodes_pairs_to_the_exact_derivative(periodic):
+    # the test function is evaluated at x0, not interpolated from samples
+    grid = make_uniform_grid(-6.0, 6.0, 65 - periodic, periodic=periodic)
+    x0, mu = 0.123, 0.4
+    assert np.min(np.abs(grid.nodes - x0)) > 0.05
+    f = GeneralizedFunction(grid, singular=[(x0, 1, 1.0)])
+    exact = -2.0 * (x0 - mu) * np.exp(-((x0 - mu) ** 2))
+    assert abs(pair(f, bump_test_function(grid, 1, mu=mu)) + exact) < 1e-14
+
+
+def test_pair_of_a_delta_derivative_loads_no_scipy():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from funcoord import GeneralizedFunction, TestFunction, make_uniform_grid, pair\n"
+        "g = make_uniform_grid(-6.0, 6.0, 65, periodic=False)\n"
+        "f = GeneralizedFunction(g, singular=[(0.123, 1, 1.0)])\n"
+        "phi = TestFunction(g, [lambda x: np.exp(-np.asarray(x) ** 2),\n"
+        "                       lambda x: -2 * np.asarray(x) * np.exp(-np.asarray(x) ** 2)])\n"
+        "pair(f, phi)\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pair_requires_derivative_orders(wide_grid):
@@ -121,7 +158,7 @@ def test_integration_by_parts():
     f = GeneralizedFunction(g, smooth=smooth, singular=[(0.75, 0, 0.8)])
     phi = bump_test_function(g, 2, mu=0.3, s=1.2)
     lhs = pair(differentiate(f), phi)
-    dphi = TestFunction(g, {q: phi.derivatives[q + 1] for q in range(2)})
+    dphi = TestFunction(g, phi.fns[1:])
     rhs = -pair(f, dphi)
     assert abs(lhs - rhs) < 1e-8
 

@@ -262,22 +262,29 @@ def _per_node_jump_image(kernel, x, x0, order, upper):
 
 
 @pytest.mark.parametrize("order", [0, 1])
-@pytest.mark.parametrize("case", ["fourier", "exp_exp", "tail"])
+@pytest.mark.parametrize("case", ["fourier", "exp_exp"])
 def test_jump_image_quadrature_matches_per_node_quad(case, order):
-    # one vector-valued quad_vec over all nodes against scalar quad per node:
-    # complex (fourier), to hi (exp_exp) and to +inf (an integrable tail
-    # without antiderivatives)
+    # one vector-valued quad_vec over all nodes against scalar quad per node,
+    # to hi: complex (fourier) and real (exp_exp)
     kernel, grid, x0 = {
         "fourier": (fourier(), make_uniform_grid(0.0, 2 * np.pi, 64, periodic=True), 1.3),
         "exp_exp": (exp_exp(-1), make_uniform_grid(0.0, 1.0, 64), 0.37),
-        "tail": (_translation("cos_gauss", cos_gauss_profile, tail_integrable=True),
-                 make_uniform_grid(-6.0, 6.0, 64), -0.8),
     }[case]
     image = _jump_image(kernel, grid.nodes, x0, order, grid.hi)
     nodes = grid.nodes[::9]
-    upper = np.inf if kernel.tail_integrable else grid.hi
-    expected = _per_node_jump_image(kernel, nodes, x0, order, upper)
+    expected = _per_node_jump_image(kernel, nodes, x0, order, grid.hi)
     assert np.max(np.abs(image[::9] - expected)) <= 1e-10 * (1.0 + np.max(np.abs(image)))
+
+
+def test_jump_image_of_a_profile_without_antiderivatives_raises(monkeypatch):
+    # a translation kernel's jump images come from its profile alone
+    def no_quadrature(*args):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr("funcoord.kernels.quad", no_quadrature)
+    kernel = _translation("cos_gauss", cos_gauss_profile)
+    with pytest.raises(UnsupportedOrderError):
+        _jump_image(kernel, np.linspace(-6.0, 6.0, 64), -0.8, 0, 6.0)
 
 
 def test_tgauss_profile_equals_the_hand_written_derivatives_bit_for_bit():
