@@ -17,6 +17,7 @@ from .errors import (
 from .grid import (
     Grid,
     OperatorMatrix,
+    derivative,
     derivative_symbol,
     diff_matrix,
     make_uniform_grid,

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, UnsupportedOrderError
-from .grid import Grid, diff_matrix, make_uniform_grid
+from .grid import Grid, derivative, make_uniform_grid
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -301,10 +301,11 @@ def pair(f: GeneralizedFunction, test: TestFunction) -> float:
 def differentiate(f: GeneralizedFunction) -> GeneralizedFunction:
     """Distributional derivative.
 
-    The declared step/ramp structure is subtracted before numerical
-    differentiation so the remainder is smooth; each order-0 jump then
-    emits a delta term of matching weight, higher-order jump annotations
-    drop one order, and every singular term's order increases by one.
+    The declared step/ramp structure is subtracted before
+    :func:`grid.derivative` so the remainder is smooth; each order-0 jump
+    then emits a delta term of matching weight, higher-order jump
+    annotations drop one order, and every singular term's order increases
+    by one.
     """
     new_singular = []
     for t in f.singular:
@@ -317,8 +318,7 @@ def differentiate(f: GeneralizedFunction) -> GeneralizedFunction:
     new_smooth = None
     new_jumps = []
     if f.smooth is not None:
-        d = diff_matrix(f.grid, 1).entries
-        new_smooth = d @ f.smooth_remainder()
+        new_smooth = derivative(f.grid, f.smooth_remainder(), 1)
         for x0, order, height in f.jumps:
             if order == 0:
                 new_singular.append(SingularTerm(x0, 0, height))

@@ -6,21 +6,18 @@ the right endpoint and carry equal (rectangle-rule) quadrature weights,
 which are spectrally accurate for smooth periodic integrands. Non-periodic
 grids include both endpoints and carry trapezoid weights.
 
-Differentiation matrices are spectral on periodic grids and 4th-order
-finite-difference stencils otherwise, so that differentiation error sits
-far below the transform errors probed by the verification suites. The
-spectral matrix is circulant: it is filled from its first column, the
-inverse DFT of the derivative symbol. The entries of each matrix are
-read-only and keyed by ``(lo, hi, n, periodic, q)``; a cache bounded by
-bytes shares the recently used small ones between :func:`diff_matrix`
-calls, while a large one lives only as long as its caller holds it.
+A derivative of samples, :func:`derivative`, is spectral on periodic grids
+(a Fourier multiplier) and a 4th-order finite-difference band otherwise,
+so that differentiation error sits far below the transform errors probed
+by the verification suites. :func:`diff_matrix` is its dense form, built
+from it: the spectral matrix is circulant, filled from its first column,
+and the finite-difference matrix is the derivative of the identity.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +28,7 @@ __all__ = [
     "OperatorMatrix",
     "make_uniform_grid",
     "diff_matrix",
+    "derivative",
     "fd_weights",
     "wavenumbers",
     "derivative_symbol",
@@ -246,16 +244,6 @@ def derivative_symbol(grid: Grid, q: int) -> np.ndarray:
     return mult
 
 
-def _spectral_diff(grid: Grid, q: int) -> np.ndarray:
-    """Spectral differentiation matrix on a periodic grid.
-
-    Exact on every resolved trigonometric mode (see
-    :func:`derivative_symbol` for the Nyquist convention). The matrix is
-    circulant, filled from its first column, the inverse DFT of the symbol.
-    """
-    return _circulant(np.fft.ifft(derivative_symbol(grid, q)).real)
-
-
 def _circulant(c: np.ndarray) -> np.ndarray:
     """The circulant matrix ``C[i, j] = c[(i - j) mod n]`` with first
     column ``c``, as one strided copy: row ``i`` is the window at
@@ -308,17 +296,6 @@ def _fd_band(grid: Grid, q: int) -> Tuple[np.ndarray, np.ndarray]:
     return interior, edges
 
 
-def _fd_diff(grid: Grid, q: int) -> np.ndarray:
-    """The dense matrix of :func:`_fd_band`."""
-    interior, edges = _fd_band(grid, q)
-    n, radius = grid.n, len(edges) // 2
-    d = np.zeros((n, n))
-    rows = np.arange(radius, n - radius)[:, None]
-    d[rows, rows + np.arange(-radius, radius + 1)] = interior
-    d[:radius], d[n - radius :] = edges[:radius], edges[radius:]
-    return d
-
-
 def _row_blocks(rows: int, cols: int) -> Iterator[Tuple[int, int]]:
     """Bounds ``(r0, r1)`` of consecutive row blocks of a rows x cols array,
     of at most ``_ROW_BLOCK`` entries each (or one row)."""
@@ -326,61 +303,70 @@ def _row_blocks(rows: int, cols: int) -> Iterator[Tuple[int, int]]:
     return ((r0, min(r0 + step, rows)) for r0 in range(0, rows, step))
 
 
-def diff_matrix(grid: Grid, q: int) -> OperatorMatrix:
-    """Differentiation matrix of order ``q`` on ``grid``.
+def _fd_rows(grid: Grid, q: int) -> Callable:
+    """``(values, r0, r1) ->`` rows ``r0:r1`` of ``diff_matrix(grid, q) @
+    values`` on a non-periodic grid, for values of any shape ``(n, ...)``.
+    The matrix is read from its band and never formed: its interior rows
+    apply their stencil weights to shifted slices of ``values`` and only
+    its edge rows take a product with their full row."""
+    (interior, edges), n, radius = _fd_band(grid, q), grid.n, _fd_radius(q)
 
-    Periodic grids get spectral differentiation (exact on resolved modes),
-    filled from its circulant first column; non-periodic grids get
-    4th-order stencils, supported for ``q <= 4``.
+    def rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        flat = values.reshape(n, -1)
+        out = np.empty((r1 - r0, flat.shape[1]), dtype=np.result_type(interior, flat))
+        lo, hi = max(r0, radius), min(r1, n - radius)
+        if lo < hi:
+            weights = interior[lo - radius : hi - radius]
+            acc = out[lo - r0 : hi - r0]
+            np.multiply(weights[:, :1], flat[lo - radius : hi - radius], out=acc)
+            for k in range(1, 2 * radius + 1):
+                acc += weights[:, k : k + 1] * flat[lo - radius + k : hi - radius + k]
+        for i in [*range(r0, min(r1, radius)), *range(max(r0, n - radius), r1)]:
+            out[i - r0] = edges[i if i < radius else i - n] @ flat
+        return out.reshape((r1 - r0,) + values.shape[1:])
 
-    Each call returns a new :class:`OperatorMatrix`, but its entries are
-    read-only and may be shared with earlier calls of the same
-    ``(lo, hi, n, periodic, q)``: copy them before writing.
+    return rows
+
+
+def derivative(grid: Grid, values, q: int) -> np.ndarray:
+    """Order-``q`` derivative of samples along axis 0: the product
+    ``diff_matrix(grid, q).entries @ values``, without the matrix.
+
+    On a periodic grid the derivative is the Fourier multiplier
+    :func:`derivative_symbol` (real for real ``values``); otherwise it is
+    the 4th-order finite-difference band of :func:`_fd_band`, supported for
+    ``q <= 4``.
 
     Raises
     ------
     UnsupportedOrderError
         If ``q < 1``, or ``q > 4`` on a non-periodic grid.
+    DomainError
+        If ``values`` does not have ``n`` rows, or a non-periodic grid has
+        fewer than ``q + 5`` nodes.
     """
     q = int(q)
-    if q < 1:
-        raise UnsupportedOrderError(f"derivative order must be >= 1, got {q}")
-    if not grid.periodic and q > MAX_FD_ORDER:
+    if q < 1 or (q > MAX_FD_ORDER and not grid.periodic):
         raise UnsupportedOrderError(
-            f"non-periodic grids support derivative order <= {MAX_FD_ORDER}, got {q}"
+            f"derivative order must be >= 1 (<= {MAX_FD_ORDER} on a non-periodic grid), got {q}"
         )
-    return OperatorMatrix(_diff_entries(grid.lo, grid.hi, grid.n, grid.periodic, q), grid)
+    values = np.asarray(values)
+    if values.shape[:1] != (grid.n,):
+        raise DomainError(f"values of shape {values.shape} do not have {grid.n} rows")
+    if not grid.periodic:
+        return _fd_rows(grid, q)(values, 0, grid.n)
+    symbol = derivative_symbol(grid, q).reshape((grid.n,) + (1,) * (values.ndim - 1))
+    out = np.fft.ifft(symbol * np.fft.fft(values, axis=0), axis=0)
+    return out if np.iscomplexobj(values) else np.ascontiguousarray(out.real)
 
 
-#: bytes of differentiation-matrix entries kept for reuse: the 12 of
-#: ``verify --suite all`` at its default sizes take 302 KiB, one matrix at
-#: n = 512 takes 2 MiB
-_DIFF_CACHE_BYTES = 1 << 20
+def diff_matrix(grid: Grid, q: int) -> OperatorMatrix:
+    """Differentiation matrix of order ``q`` on ``grid``: the dense form of
+    :func:`derivative`, with its order check.
 
-_diff_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-
-
-def _diff_entries(lo: float, hi: float, n: int, periodic: bool, q: int) -> np.ndarray:
-    """Read-only entries of :func:`diff_matrix`, keyed by value because a
-    :class:`Grid` holds arrays and cannot be hashed.
-
-    The cache is bounded by bytes, not by count: it keeps the most
-    recently used entries whose sizes sum to at most ``_DIFF_CACHE_BYTES``,
-    and an entry larger than that is never kept, so it is freed as soon as
-    its caller drops it. ``_diff_entries.cache_clear()`` empties it."""
-    key = (lo, hi, n, periodic, q)
-    entries = _diff_cache.get(key)
-    if entries is not None:
-        _diff_cache.move_to_end(key)
-        return entries
-    grid = make_uniform_grid(lo, hi, n, periodic)
-    entries = _spectral_diff(grid, q) if periodic else _fd_diff(grid, q)
-    entries.setflags(write=False)
-    if entries.nbytes <= _DIFF_CACHE_BYTES:
-        _diff_cache[key] = entries
-        while sum(e.nbytes for e in _diff_cache.values()) > _DIFF_CACHE_BYTES:
-            _diff_cache.popitem(last=False)
-    return entries
-
-
-_diff_entries.cache_clear = _diff_cache.clear
+    A periodic grid's spectral matrix is circulant, filled from its first
+    column, the derivative of the first unit vector; a non-periodic grid's
+    matrix is the derivative of the identity."""
+    if grid.periodic:
+        return OperatorMatrix(_circulant(derivative(grid, np.eye(1, grid.n)[0], q)), grid)
+    return OperatorMatrix(derivative(grid, np.eye(grid.n), q), grid)

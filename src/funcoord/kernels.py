@@ -68,8 +68,8 @@ from .grid import (
     Grid,
     OperatorMatrix,
     _circulant,
-    _fd_band,
     _fd_radius,
+    _fd_rows,
     _row_blocks,
     csv_blocks,
     diff_matrix,
@@ -711,29 +711,12 @@ def residual_blocks(
 
 def _diff_rows(grid: Grid, q: int) -> Callable:
     """``(values, r0, r1) ->`` rows ``r0:r1`` of ``diff_matrix(grid, q) @
-    values``. A finite-difference matrix is read from its band and never
-    formed: its interior rows apply their stencil weights to shifted slices
-    of ``values`` and only its edge rows take a product with their full
-    row. The spectral matrix of a periodic grid is dense."""
+    values``: the spectral matrix of a periodic grid is dense, a
+    finite-difference matrix is read from its band (:func:`grid._fd_rows`)."""
     if grid.periodic:
         d = diff_matrix(grid, q).entries
         return lambda values, r0, r1: d[r0:r1] @ values
-    (interior, edges), n, radius = _fd_band(grid, q), grid.n, _fd_radius(q)
-
-    def rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
-        out = np.empty((r1 - r0, values.shape[1]), dtype=np.result_type(interior, values))
-        lo, hi = max(r0, radius), min(r1, n - radius)
-        if lo < hi:
-            weights = interior[lo - radius : hi - radius]
-            acc = out[lo - r0 : hi - r0]
-            np.multiply(weights[:, :1], values[lo - radius : hi - radius], out=acc)
-            for k in range(1, 2 * radius + 1):
-                acc += weights[:, k : k + 1] * values[lo - radius + k : hi - radius + k]
-        for i in [*range(r0, min(r1, radius)), *range(max(r0, n - radius), r1)]:
-            out[i - r0] = edges[i if i < radius else i - n] @ values
-        return out
-
-    return rows
+    return _fd_rows(grid, q)
 
 
 def kernel_pde_residual(*args, **kwargs) -> float:

@@ -42,6 +42,7 @@ from .errors import DomainError, NotASolutionError, PreconditionError
 from .grid import (
     Grid,
     _row_blocks,
+    derivative,
     derivative_symbol,
     diff_matrix,
     make_uniform_grid,
@@ -626,9 +627,8 @@ def check_nonlinear_tensor(
     """
     phi_tilde = grid.require_samples(np.asarray(phi_tilde, dtype=float), "phi_tilde")
     tol = _tolerances(NONLINEAR_TOLERANCES, tolerances)
-    D = diff_matrix(grid, 1).entries
     phi = np.real(apply(kernel, GeneralizedFunction(grid, smooth=phi_tilde)))
-    lhs = (D @ phi) ** 2
+    lhs = derivative(grid, phi, 1) ** 2
     if kernel.factor is not None:
         # a diagonal kernel's tensor is c^2 times the square, for constant c
         c = np.asarray(kernel.factor(grid.nodes), dtype=float)
@@ -637,7 +637,7 @@ def check_nonlinear_tensor(
                 "among diagonal kernels only a constant factor (dilation) "
                 "supports the tensor check"
             )
-        rhs = (c * (D @ phi_tilde)) ** 2
+        rhs = (c * derivative(grid, phi_tilde, 1)) ** 2
     else:
         rhs = (np.real(kernel_table(kernel, grid.nodes, grid, dx_order=1)) @ phi_tilde) ** 2
     tensor_residual = float(np.max(np.abs(lhs - rhs)))

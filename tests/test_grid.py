@@ -12,10 +12,13 @@ from scipy.special import erf
 from funcoord import (
     DomainError,
     UnsupportedOrderError,
+    derivative,
     diff_matrix,
     make_uniform_grid,
 )
 from funcoord import grid as grid_module
+from funcoord import kernels as kernels_module
+from funcoord import theorems as theorems_module
 from funcoord.cli import main
 from funcoord.grid import OperatorMatrix, csv_blocks, csv_text, derivative_symbol, fd_weights
 
@@ -148,7 +151,7 @@ def test_banded_stencil_rows_equal_the_dense_rows_bit_for_bit(q):
     for n in (9, 32, 200, 512, 513):
         g = make_uniform_grid(0.0, 1.0, n, periodic=False)
         dense = _dense_fd(g, q)
-        assert np.array_equal(grid_module._fd_diff(g, q), dense)
+        assert np.array_equal(diff_matrix(g, q).entries, dense)
         interior, edges = grid_module._fd_band(g, q)
         radius = grid_module._fd_radius(q)
         rows = np.arange(radius, n - radius)[:, None]
@@ -167,8 +170,8 @@ def test_diff_matrix_order_validation():
     diff_matrix(gp, 6)
 
 
-@pytest.mark.parametrize("n", [8, 9, 32, 33, 64])
-@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [8, 9, 32, 33, 64, 513])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 7])
 def test_circulant_spectral_build_matches_dense_fft_reference(n, q):
     g = make_uniform_grid(-1.5, 2.0, n, periodic=True)
     # the reference transforms every column of the identity
@@ -176,62 +179,77 @@ def test_circulant_spectral_build_matches_dense_fft_reference(n, q):
     reference = np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
     d = diff_matrix(g, q).entries
     assert np.max(np.abs(d - reference)) <= 1e-13 * np.max(np.abs(reference))
+    # bit for bit, the circulant of the inverse DFT of the symbol
+    column, i = np.fft.ifft(mult).real, np.arange(n)
+    assert np.array_equal(d, column[(i[:, None] - i[None, :]) % n])
 
 
-@pytest.mark.parametrize("periodic", [True, False])
-def test_equal_keys_share_read_only_entries(periodic):
-    a = diff_matrix(make_uniform_grid(0.0, 1.0, 16, periodic), 2)
-    b = diff_matrix(make_uniform_grid(0.0, 1.0, 16, periodic), 2)
-    assert a is not b and a.entries is b.entries
-    with pytest.raises(ValueError):
-        a.entries[0, 0] = 1.0
+def _sample_values(g, tail, dtype):
+    # one column per wavenumber k, plus a ramp
+    x = g.nodes.reshape((g.n,) + (1,) * len(tail))
+    k = np.arange(1, 1 + np.prod(tail, dtype=int)).reshape(tail)
+    values = np.cos(2.0 * np.pi * k * (x - g.lo) / (g.hi - g.lo)) + x
+    return values + 1j * np.sin(k * x) if dtype is complex else values
 
 
-def test_distinct_keys_do_not_share_entries():
-    grids = [
-        make_uniform_grid(0.0, 1.0, 16, periodic=True),
-        make_uniform_grid(0.0, 1.0, 16, periodic=False),
-        make_uniform_grid(1.0, 2.0, 16, periodic=True),  # same span, other lo
-        make_uniform_grid(1.0, 2.0, 16, periodic=False),
-        make_uniform_grid(0.0, 2.0, 16, periodic=True),
-    ]
-    entries = [diff_matrix(g, 1).entries for g in grids]
-    assert len({id(e) for e in entries}) == len(grids)
-    for g, e in zip(grids, entries):
-        build = grid_module._spectral_diff if g.periodic else grid_module._fd_diff
-        assert np.array_equal(e, build(g, 1))
+@pytest.mark.parametrize(
+    "periodic, q", [(True, q) for q in range(1, 6)] + [(False, q) for q in range(1, 5)]
+)
+@pytest.mark.parametrize(
+    "tail, dtype", [((), float), ((3,), float), ((3,), complex), ((2, 3), float)]
+)
+def test_derivative_equals_the_matrix_product(periodic, q, tail, dtype):
+    for n in (16, 33):
+        g = make_uniform_grid(-1.0, 2.0, n, periodic)
+        values = _sample_values(g, tail, dtype)
+        d = diff_matrix(g, q).entries
+        expected = np.tensordot(d, values, axes=1)
+        out = derivative(g, values, q)
+        assert out.shape == values.shape and np.iscomplexobj(out) == (dtype is complex)
+        # the roundoff of either sum scales with the sum of the term magnitudes
+        scale = np.tensordot(np.abs(d), np.abs(values), axes=1)
+        assert np.all(np.abs(out - expected) <= 1e-12 * scale)
+
+
+def test_derivative_order_and_size_validation():
+    g = make_uniform_grid(0.0, 1.0, 16, periodic=False)
+    gp = make_uniform_grid(0.0, 1.0, 16, periodic=True)
+    for grid, q in ((g, 0), (gp, 0), (g, 5)):
+        with pytest.raises(UnsupportedOrderError):
+            derivative(grid, np.ones(16), q)
+    # a one-sided boundary stencil takes q + 5 nodes
+    with pytest.raises(DomainError):
+        derivative(make_uniform_grid(0.0, 1.0, 8, periodic=False), np.ones(8), 4)
+    with pytest.raises(DomainError):
+        derivative(g, np.ones(15), 1)
 
 
 def test_large_entries_are_freed_with_their_caller():
-    # one n = 512 matrix (2 MiB) exceeds the cache's byte bound: it is built
-    # for its caller and not kept once the caller drops it
+    # an n = 512 matrix (2 MiB) lives only as long as its caller holds it
     entries = diff_matrix(make_uniform_grid(0.0, 1.0, 512, periodic=False), 1).entries
     ref = weakref.ref(entries)
     del entries
     assert ref() is None
-    # smaller entries are kept only while their total fits the bound
-    for lo in range(4):
-        diff_matrix(make_uniform_grid(lo, lo + 1.0, 256, periodic=True), 1)
-    kept = sum(e.nbytes for e in grid_module._diff_cache.values())
-    assert 0 < kept <= grid_module._DIFF_CACHE_BYTES
 
 
-def test_verify_all_builds_each_differentiation_matrix_once(tmp_path, monkeypatch):
+def test_verify_all_builds_dense_matrices_only_for_fourier_and_derivative(tmp_path, monkeypatch):
     builds = []
-    for name in ("_spectral_diff", "_fd_diff"):
-        def counted(g, q, build=getattr(grid_module, name)):
-            builds.append((g.lo, g.hi, g.n, g.periodic, q))
-            return build(g, q)
 
-        monkeypatch.setattr(grid_module, name, counted)
-    grid_module._diff_entries.cache_clear()
+    def counted(g, q, build=grid_module.diff_matrix):
+        builds.append((g.lo, g.hi, g.n, g.periodic, q))
+        return build(g, q)
+
+    for module in (grid_module, kernels_module, theorems_module):
+        monkeypatch.setattr(module, "diff_matrix", counted)
     assert main(["verify", "--suite", "all", "--seed", "7", "--out", str(tmp_path)]) == 0
-    # the riccati residual reads the banded description of its q = 2
-    # matrix, and the theorem suite differentiates its kernel, not its
-    # samples, so neither builds dense ones on its windows
-    assert len(builds) == len(set(builds)) == 7
-    assert (0.0, 1.0, 64, False, 2) not in builds
-    assert not [b for b in builds if b[:2] in ((-0.8, 0.8), (-0.6, 0.6))]
+    # fourier conjugates its dense matrix and the derivative suite takes
+    # products with it; the theorem, nonlinear and riccati suites
+    # differentiate through grid.derivative or the band, on no dense matrix
+    assert {b[:4] for b in builds} == {
+        (0.0, 2 * np.pi, 32, True),
+        (-6.0, 6.0, 48, True),
+        (-6.0, 6.0, 16, True),
+    }
 
 
 def test_fd_weights_recover_taylor_coefficients():
