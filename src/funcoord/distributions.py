@@ -209,15 +209,29 @@ class GeneralizedFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "GeneralizedFunction":
-        doc = json.loads(text)
+        """Read :meth:`to_json` output strictly: ``grid.periodic`` must be a
+        boolean, ``grid.n`` and every order an integer, and every number
+        finite, or :class:`DomainError` names the field or number."""
+        doc = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
         g = doc["grid"]
-        grid = make_uniform_grid(g["lo"], g["hi"], g["n"], bool(g["periodic"]))
-        return cls(
-            grid=grid,
-            smooth=doc.get("smooth"),
-            singular=[tuple(t) for t in doc.get("singular", [])],
-            jumps=[tuple(j) for j in doc.get("jumps", [])],
-        )
+        singular = [tuple(t) for t in doc.get("singular", [])]
+        jumps = [tuple(j) for j in doc.get("jumps", [])]
+        if not isinstance(g["periodic"], bool):
+            raise DomainError(f"grid.periodic must be true or false, got {g['periodic']!r}")
+        counts = [("grid.n", g["n"])] + [("singular order", t[1]) for t in singular]
+        for name, value in counts + [("jump order", j[1]) for j in jumps if len(j) == 3]:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        grid = make_uniform_grid(g["lo"], g["hi"], g["n"], g["periodic"])
+        return cls(grid=grid, smooth=doc.get("smooth"), singular=singular, jumps=jumps)
+
+
+def _finite_number(literal: str) -> float:
+    """A JSON number literal as a float; a non-finite one raises DomainError."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise DomainError(f"number {literal} in the input is not finite")
+    return value
 
 
 def _same_grid(a: Grid, b: Grid) -> bool:
@@ -226,32 +240,26 @@ def _same_grid(a: Grid, b: Grid) -> bool:
     )
 
 
-def _canonical_terms(terms) -> tuple:
+def _merged(pairs) -> list:
+    """``(key, weight)`` pairs with equal keys' weights summed, zero sums
+    dropped, sorted by key."""
     merged: dict = {}
+    for key, weight in pairs:
+        merged[key] = merged.get(key, 0.0) + weight
+    return sorted((key, w) for key, w in merged.items() if w != 0.0)
+
+
+def _canonical_terms(terms) -> tuple:
     for t in terms:
         if t.q > DEFAULT_ORDER_CAP:
             raise UnsupportedOrderError(
                 f"delta-derivative order {t.q} exceeds cap {DEFAULT_ORDER_CAP}"
             )
-        key = (t.x0, t.q)
-        merged[key] = merged.get(key, 0.0) + t.a
-    out = [
-        SingularTerm(x0, q, a)
-        for (x0, q), a in merged.items()
-        if a != 0.0
-    ]
-    out.sort(key=lambda t: (t.x0, t.q))
-    return tuple(out)
+    return tuple(SingularTerm(*key, a) for key, a in _merged(((t.x0, t.q), t.a) for t in terms))
 
 
 def _canonical_jumps(jumps) -> tuple:
-    merged: dict = {}
-    for x0, order, h in jumps:
-        key = (x0, order)
-        merged[key] = merged.get(key, 0.0) + h
-    out = [(x0, order, h) for (x0, order), h in merged.items() if h != 0.0]
-    out.sort()
-    return tuple(out)
+    return tuple(key + (h,) for key, h in _merged((j[:2], j[2]) for j in jumps))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ which are spectrally accurate for smooth periodic integrands. Non-periodic
 grids include both endpoints and carry trapezoid weights.
 
 A derivative of samples, :func:`derivative`, is spectral on periodic grids
-(a Fourier multiplier) and a 4th-order finite-difference band otherwise,
-so that differentiation error sits far below the transform errors probed
-by the verification suites. :func:`diff_matrix` is its dense form, built
-from it: the spectral matrix is circulant, filled from its first column,
-and the finite-difference matrix is the derivative of the identity.
+(a Fourier multiplier) and otherwise 4th-order finite differences: three
+stencils (:func:`_fd_band`), centred and one-sided at each edge, applied to
+shifted slices (:func:`_fd_rows`); the kernel residual differences with
+them on every grid, leaving the boundary rows out. Either keeps
+differentiation error far below the transform errors probed by the
+verification suites. :func:`diff_matrix` is its dense form, built from it:
+the spectral matrix is circulant, filled from its first column, and the
+finite-difference matrix is the derivative of the identity.
 """
 
 from __future__ import annotations
@@ -258,42 +261,29 @@ def _fd_radius(q: int) -> int:
     return 2 if q <= 2 else 3
 
 
-def _fd_band(grid: Grid, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """4th-order finite-difference matrix on a non-periodic grid, as a band
-    ``(interior, edges)``: ``interior[k]`` is row ``radius + k`` on columns
-    ``k .. k + 2 radius``, ``edges`` the first and last ``radius`` rows.
+def _fd_band(grid: Grid, q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """4th-order finite-difference operator of order ``q`` as its three
+    stencils ``(centre, left, right)``, on offsets ``h * k`` from the node.
 
-    Interior rows use centered stencils (5 points for q <= 2, 7 for
-    q in {3, 4}); rows near the boundary use one-sided windows of q + 5
-    points so the boundary closure does not degrade the interior order.
-    On a uniform grid a row's weights depend only on where the row's node
-    sits in its window, so the 2 * radius + 1 distinct stencils are
-    computed once, on offsets ``h * k`` from the node. The diagonal is
-    corrected to enforce exact zero row sums (constants differentiate to
-    exactly zero), each sum taken over the row's n entries as numpy sums
-    a dense row, so that band and dense matrix agree bit for bit.
+    ``centre`` (5 points for q <= 2, 7 for q in {3, 4}) is every interior
+    row's stencil. ``left[i]`` is row ``i`` on the first q + 5 nodes and
+    ``right[i]`` row ``n - radius + i`` on the last q + 5 nodes: one-sided
+    windows, so that the boundary closure does not degrade the interior
+    order. Each stencil's diagonal weight is corrected by the stencil's
+    own sum, so constants differentiate to exactly zero. On a uniform grid
+    the weights depend on the spacing and ``q`` only, not on ``n``.
     """
-    n = grid.n
-    radius = _fd_radius(q)
-    p_boundary = q + 5
-    if p_boundary > n:
+    radius, p = _fd_radius(q), q + 5
+    if p > grid.n:
         raise DomainError(f"grid too small for derivative order {q}")
 
     def stencil(size: int, at: int) -> np.ndarray:
-        return fd_weights(grid.spacing * (np.arange(size) - at), 0.0, q)
+        weights = fd_weights(grid.spacing * (np.arange(size) - at), 0.0, q)
+        weights[at] -= weights.sum()
+        return weights
 
-    # row i of the dense matrix is the window padded[n - i : 2 n - i]
-    padded = np.zeros(2 * n)
-    padded[n - radius : n + radius + 1] = stencil(2 * radius + 1, radius)
-    interior = np.tile(padded[n - radius : n + radius + 1], (n - 2 * radius, 1))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n)[n - radius : radius : -1]
-    interior[:, radius] -= windows.sum(axis=1)
-    edges = np.zeros((2 * radius, n))
-    for i in range(radius):
-        edges[i, :p_boundary] = stencil(p_boundary, i)
-        edges[-1 - i, n - p_boundary :] = stencil(p_boundary, p_boundary - 1 - i)
-    edges[range(2 * radius), [*range(radius), *range(n - radius, n)]] -= edges.sum(axis=1)
-    return interior, edges
+    edges = np.array([stencil(p, at) for at in [*range(radius), *range(p - radius, p)]])
+    return stencil(2 * radius + 1, radius), edges[:radius], edges[radius:]
 
 
 def _row_blocks(rows: int, cols: int) -> Iterator[Tuple[int, int]]:
@@ -304,25 +294,27 @@ def _row_blocks(rows: int, cols: int) -> Iterator[Tuple[int, int]]:
 
 
 def _fd_rows(grid: Grid, q: int) -> Callable:
-    """``(values, r0, r1) ->`` rows ``r0:r1`` of ``diff_matrix(grid, q) @
-    values`` on a non-periodic grid, for values of any shape ``(n, ...)``.
-    The matrix is read from its band and never formed: its interior rows
-    apply their stencil weights to shifted slices of ``values`` and only
-    its edge rows take a product with their full row."""
-    (interior, edges), n, radius = _fd_band(grid, q), grid.n, _fd_radius(q)
+    """``(values, r0, r1) ->`` rows ``r0:r1`` of the 4th-order finite
+    difference of order ``q`` of ``values``, of any shape ``(n, ...)``,
+    along axis 0. The stencils of :func:`_fd_band` apply to shifted slices
+    of ``values``: the centred one to interior rows, the one-sided ones,
+    on the first and last q + 5 values, to the first and last ``radius``
+    rows. A periodic grid's nodes are read as a non-periodic window."""
+    (centre, left, right), n, radius, p = _fd_band(grid, q), grid.n, _fd_radius(q), q + 5
 
     def rows(values: np.ndarray, r0: int, r1: int) -> np.ndarray:
         flat = values.reshape(n, -1)
-        out = np.empty((r1 - r0, flat.shape[1]), dtype=np.result_type(interior, flat))
+        out = np.empty((r1 - r0, flat.shape[1]), dtype=np.result_type(centre, flat))
         lo, hi = max(r0, radius), min(r1, n - radius)
         if lo < hi:
-            weights = interior[lo - radius : hi - radius]
             acc = out[lo - r0 : hi - r0]
-            np.multiply(weights[:, :1], flat[lo - radius : hi - radius], out=acc)
+            np.multiply(centre[0], flat[lo - radius : hi - radius], out=acc)
             for k in range(1, 2 * radius + 1):
-                acc += weights[:, k : k + 1] * flat[lo - radius + k : hi - radius + k]
-        for i in [*range(r0, min(r1, radius)), *range(max(r0, n - radius), r1)]:
-            out[i - r0] = edges[i if i < radius else i - n] @ flat
+                acc += centre[k] * flat[lo - radius + k : hi - radius + k]
+        for i in range(r0, min(r1, radius)):
+            out[i - r0] = left[i] @ flat[:p]
+        for i in range(max(r0, n - radius), r1):
+            out[i - r0] = right[i - n + radius] @ flat[n - p :]
         return out.reshape((r1 - r0,) + values.shape[1:])
 
     return rows
@@ -334,7 +326,7 @@ def derivative(grid: Grid, values, q: int) -> np.ndarray:
 
     On a periodic grid the derivative is the Fourier multiplier
     :func:`derivative_symbol` (real for real ``values``); otherwise it is
-    the 4th-order finite-difference band of :func:`_fd_band`, supported for
+    the 4th-order finite difference of :func:`_fd_rows`, supported for
     ``q <= 4``.
 
     Raises

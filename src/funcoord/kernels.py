@@ -72,7 +72,7 @@ from .grid import (
     _fd_rows,
     _row_blocks,
     csv_blocks,
-    diff_matrix,
+    diff_matrix,  # unused here; the perfbench tracer test reads kernels.diff_matrix
     fd_weights,
     wavenumbers,
 )
@@ -648,8 +648,8 @@ def residual_blocks(
     expansion over the kernel's analytic y-partials, ``db`` optionally
     supplying analytic derivatives of ``b``; a kernel without ``dy_n``
     takes m = 0 only. The x side is analytic when the kernel supplies
-    ``dx_n``; otherwise the kernel is tabulated on the grid and
-    differentiated with 4th-order matrices, and the boundary-stencil rows
+    ``dx_n``; otherwise its table on the grid is differenced with the
+    stencils of :func:`grid._fd_rows`, on every grid, and the boundary rows
     are left out. Arguments are checked on the call, finiteness per block.
     """
     n, m = int(n), int(m)
@@ -672,14 +672,13 @@ def residual_blocks(
     b_y = np.asarray(b_fn(y))
     sign = (-1.0) ** n
 
-    # on the finite-difference path the kernel is tabulated once and the
-    # rows without a centered stencil, outside kept, are left out
+    # the kernel is tabulated once, as given (not periodized, so differenced
+    # alike on every grid), and the rows without a centred stencil left out
     kept = (0, grid.n)
     if fd_x:
         table = kernel.eval(x[:, None], y[None, :])
-        dx_rows = _diff_rows(grid, n)
-        if not grid.periodic:
-            kept = (_fd_radius(n), grid.n - _fd_radius(n))
+        dx_rows = _fd_rows(grid, n)
+        kept = (_fd_radius(n), grid.n - _fd_radius(n))
     if m:
         b_derivs = [
             np.asarray(_coefficient_derivative(b_fn, m - i, db)(y)) for i in range(m + 1)
@@ -707,16 +706,6 @@ def residual_blocks(
                 yield x[k0:k1], block[k0 - r0 : k1 - r0]
 
     return blocks()
-
-
-def _diff_rows(grid: Grid, q: int) -> Callable:
-    """``(values, r0, r1) ->`` rows ``r0:r1`` of ``diff_matrix(grid, q) @
-    values``: the spectral matrix of a periodic grid is dense, a
-    finite-difference matrix is read from its band (:func:`grid._fd_rows`)."""
-    if grid.periodic:
-        d = diff_matrix(grid, q).entries
-        return lambda values, r0, r1: d[r0:r1] @ values
-    return _fd_rows(grid, q)
 
 
 def kernel_pde_residual(*args, **kwargs) -> float:

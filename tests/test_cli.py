@@ -172,6 +172,34 @@ def test_transform_bad_json_is_config_error(tmp_path):
     assert run(["transform", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("periodic", '"false"', "grid.periodic must be true or false, got 'false'"),
+    ("n", "64.7", "grid.n must be an integer, got 64.7"),
+    ("n", "true", "grid.n must be an integer, got True"),
+    ("singular", "[[0.5, 1.7, 1.0]]", "singular order must be an integer, got 1.7"),
+    ("jumps", "[[0.5, 1.5, 1.0]]", "jump order must be an integer, got 1.5"),
+    ("sample", "NaN", "number NaN in the input is not finite"),
+    ("sample", "-Infinity", "number -Infinity in the input is not finite"),
+    ("sample", "1e999", "number 1e999 in the input is not finite"),
+], ids=["periodic-text", "n-float", "n-bool", "singular-order", "jump-order", "nan", "-inf", "1e999"])
+def test_transform_reads_its_input_strictly(tmp_path, capsys, field, value, message):
+    # coercion would read "false" as a periodic grid (bool("false") is true),
+    # 64.7 as 64 and the orders as 1, and write non-finite samples out
+    doc = {"smooth": [0.0] * 64, "jumps": [], "singular": [], "grid": {**GRID_DOC}}
+    if field in ("periodic", "n"):
+        doc["grid"][field] = "@"
+    elif field == "sample":
+        doc["smooth"][10] = "@"
+    else:
+        doc[field] = "@"
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc).replace('"@"', value))
+    out = tmp_path / "tr"
+    assert run(["transform", "--input", str(path), "--kernel", "gaussian", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_kernel_overflow_is_numerical_failure(tmp_path, capsys):
     # e^{x e^y} overflows on [-6, 6]^2: the smooth part's kernel table is
     # not finite, a numerical failure rather than a configuration error

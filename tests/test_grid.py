@@ -127,12 +127,14 @@ def test_fd_first_derivative_fourth_order(q):
 
 
 def _dense_fd(g, q):
-    # the matrix built whole: stencils placed in zero rows, then each
-    # diagonal entry corrected by its full row's sum
+    # the matrix built whole: each stencil corrected by its own sum, then
+    # placed in zero rows
     n, radius, p = g.n, grid_module._fd_radius(q), q + 5
 
     def stencil(size, at):
-        return fd_weights(g.spacing * (np.arange(size) - at), 0.0, q)
+        w = fd_weights(g.spacing * (np.arange(size) - at), 0.0, q)
+        w[at] -= w.sum()
+        return w
 
     d = np.zeros((n, n))
     for i in range(radius, n - radius):
@@ -140,23 +142,29 @@ def _dense_fd(g, q):
     for i in range(radius):
         d[i, :p] = stencil(p, i)
         d[n - 1 - i, n - p :] = stencil(p, p - 1 - i)
-    d[np.arange(n), np.arange(n)] -= d.sum(axis=1)
     return d
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_banded_stencil_rows_equal_the_dense_rows_bit_for_bit(q):
-    # sizes where interior rows of the dense matrix differ in their last
-    # bits, because each row sum rounds by where its stencil sits
     for n in (9, 32, 200, 512, 513):
         g = make_uniform_grid(0.0, 1.0, n, periodic=False)
         dense = _dense_fd(g, q)
         assert np.array_equal(diff_matrix(g, q).entries, dense)
-        interior, edges = grid_module._fd_band(g, q)
-        radius = grid_module._fd_radius(q)
-        rows = np.arange(radius, n - radius)[:, None]
-        assert np.array_equal(interior, dense[rows, rows + np.arange(-radius, radius + 1)])
-        assert np.array_equal(edges, dense[[*range(radius), *range(n - radius, n)]])
+        centre, left, right = grid_module._fd_band(g, q)
+        radius, p = grid_module._fd_radius(q), q + 5
+        assert np.array_equal(centre, dense[radius, : 2 * radius + 1])
+        assert np.array_equal(left, dense[:radius, :p])
+        assert np.array_equal(right, dense[n - radius :, n - p :])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_stencils_depend_on_the_spacing_not_on_n(q):
+    # both grids have h = 1/8: the band neither grows nor changes with n
+    small = grid_module._fd_band(make_uniform_grid(0.0, 1.0, 9, periodic=False), q)
+    large = grid_module._fd_band(make_uniform_grid(0.0, 512.0, 4097, periodic=False), q)
+    for a, b in zip(small, large):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_diff_matrix_order_validation():

@@ -33,9 +33,8 @@ from funcoord import (
     translation_tgauss,
 )
 from funcoord.cli import KERNELS
-from funcoord.grid import OperatorMatrix
+from funcoord.grid import OperatorMatrix, _fd_rows
 from funcoord.kernels import (
-    _diff_rows,
     _fd_radius,
     _gaussian_sketch,
     _hermite,
@@ -510,17 +509,30 @@ def test_residual_interior_mask_on_fd_path():
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 @pytest.mark.parametrize("periodic", [False, True])
 def test_banded_rows_equal_the_matrix_product(q, periodic):
-    # the residual's row products: banded off a periodic grid, dense on one
+    # the residual's row products; a periodic grid's nodes are differenced
+    # as the non-periodic grid on the same nodes is
     g = make_uniform_grid(0.0, 1.0, 40, periodic=periodic)
-    d = diff_matrix(g, q).entries
+    d = diff_matrix(make_uniform_grid(0.0, g.nodes[-1], 40, periodic=False), q).entries
     table = np.exp(np.outer(g.nodes, np.linspace(-1.0, 1.0, 7)))
     dense = d @ table
     # the roundoff of either sum scales with the sum of the term magnitudes
     scale = np.max(np.abs(d) @ np.abs(table))
     # row blocks that start and end in the boundary rows and in the interior
     for r0, r1 in [(0, 40), (0, 2), (1, 9), (5, 36), (30, 40), (38, 39)]:
-        rows = _diff_rows(g, q)(table, r0, r1)
+        rows = _fd_rows(g, q)(table, r0, r1)
         assert np.max(np.abs(rows - dense[r0:r1])) < 1e-12 * scale
+
+
+def test_values_only_residual_on_a_periodic_grid_is_the_x_partial():
+    # the table is the kernel as given, not periodized, so a spectral
+    # x-derivative of it would ring; the edge stencils' rows are left out
+    g = make_uniform_grid(-4.0, 4.0, 64, periodic=True)
+    k = Kernel(id="values_only", eval=lambda x, y: np.cos(x - y) * np.exp(-((x - y) ** 2) / 4))
+    x, values = residual_field(k, 1, 0, 1.0, 0.0, g)
+    t = x[:, None] - g.nodes[None, :]
+    exact = -(np.sin(t) + t / 2 * np.cos(t)) * np.exp(-(t**2) / 4)
+    assert values.shape == (60, 64) and np.array_equal(x, g.nodes[2:-2])
+    assert np.max(np.abs(values - exact)) < 1e-3
 
 
 def test_residual_row_blocks_match_the_dense_formula():
