@@ -30,18 +30,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .distributions import GeneralizedFunction
 from .errors import FuncoordError
-from .grid import Grid, csv_blocks, csv_text, make_uniform_grid
+from .grid import _ROW_BLOCK, Grid, csv_blocks, csv_text, make_uniform_grid
 from .kernels import (
     Kernel,
     _as_coefficient,
@@ -390,8 +392,7 @@ def _suite_riccati(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     y2 = COEFFICIENTS["y^2"]
     kernel = riccati_kernel(1.0, y2.fn, COEFFICIENTS["y"].fn, grid)
     if "csv" in config.formats:
-        table = csv_blocks(("x", "y", "w"), *kernel.table)
-        _write_text(Path(config.out) / "riccati_table.csv", table)
+        _write_table(Path(config.out) / "riccati_table.csv", ("x", "y", "w"), *kernel.table)
     residual = kernel_pde_residual(kernel, 2, 0, 1.0, y2.fn, grid)
     return [
         VerificationReport.build(
@@ -469,12 +470,47 @@ def _grids(config: RunConfig, name: str) -> List[Grid]:
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path: Path, text: Union[str, Iterable[str]]) -> None:
-    """Write one text, or an iterable of texts one at a time, so a large
-    table is never held whole."""
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    path.write_text(text, encoding="utf-8")
+
+
+def _write_table(path: Path, names: Sequence[str], x, y, values) -> None:
+    """Write the joined :func:`csv_blocks` of ``values[i, j]`` at ``(x[i], y[j])``, each
+    range of rows (of at least ``_ROW_BLOCK`` entries) after the first formatted by
+    a forked child, one per CPU; a failed write leaves no table and no part file."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    ranges = max(1, min(cpus, len(x) // -(-_ROW_BLOCK // max(1, len(y)))))
+    rows = [slice(len(x) * k // ranges, len(x) * (k + 1) // ranges) for k in range(ranges)]
+    parts = [path.with_name(f".{path.name}.part{k}") for k in range(1, ranges)]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    children = []
+    try:
+        for part, r in zip(parts, rows[1:]):
+            if not (pid := os.fork()):
+                try:  # the child leaves through _exit only: no unwinding, no flush
+                    with part.open("w", encoding="utf-8") as fh:
+                        fh.writelines(islice(csv_blocks(names, x[r], y, values[r]), 1, None))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append(pid)
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(csv_blocks(names, x[rows[0]], y, values[rows[0]]))
+            fh.flush()
+            for part, pid in zip(parts, children):
+                if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT).si_status:  # reaped below
+                    raise OSError(f"a process writing rows of {path} failed")
+                with part.open("rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def _written_rows(path: Path, blocks, y: np.ndarray) -> Iterator:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -19,8 +20,9 @@ from funcoord import (
     kernel_pde_residual,
     make_uniform_grid,
     residual_blocks,
+    riccati_kernel,
 )
-from funcoord.cli import INPUTS, SUITES, _written_rows, main
+from funcoord.cli import COEFFICIENTS, INPUTS, SUITES, _write_table, _written_rows, main
 from funcoord.grid import csv_blocks
 from funcoord.kernels import _max_norm, _truncated_svd
 
@@ -426,6 +428,71 @@ def test_riccati_table_csv_reads_back_bit_exactly(tmp_path, monkeypatch):
     x = make_uniform_grid(0.0, 1.0, 16).nodes
     columns = table_columns(x, x[::-1], table)
     assert_reads_back(tmp_path / "riccati_table.csv", ["x", "y", "w"], *columns)
+
+
+def split_table(monkeypatch, cpus):
+    # a table of 17 rows of 16 entries, split into ranges of at least two
+    # rows, one per CPU of the cpus claimed available
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr("funcoord.cli._ROW_BLOCK", 32)
+    return np.linspace(0.0, 1.0, 17), np.linspace(2.0, -1.0, 16), specials((17, 16))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_table_written_in_ranges_equals_the_joined_blocks(tmp_path, monkeypatch, cpus):
+    x, y, table = split_table(monkeypatch, cpus)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    path = tmp_path / "riccati_table.csv"
+    _write_table(path, ("x", "y", "w"), x, y, table)
+    assert len(forks) == cpus - 1
+    assert path.read_text() == "".join(csv_blocks(("x", "y", "w"), x, y, table))
+    assert_reads_back(path, ["x", "y", "w"], *table_columns(x, y, table))
+    assert os.listdir(tmp_path) == ["riccati_table.csv"]
+
+
+def test_table_writer_leaves_no_file_and_no_child_when_a_child_fails(tmp_path, monkeypatch):
+    x, y, table = split_table(monkeypatch, 3)
+    parent = os.getpid()
+
+    def blocks(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed in a child")
+        return csv_blocks(*args)
+
+    monkeypatch.setattr("funcoord.cli.csv_blocks", blocks)
+    with pytest.raises(OSError, match="riccati_table.csv"):
+        _write_table(tmp_path / "riccati_table.csv", ("x", "y", "w"), x, y, table)
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_riccati_at_n512_prints_once_and_writes_the_joined_table(tmp_path):
+    # block-buffered stdout holds the xdx suite's line while the riccati
+    # table is written, with two or more CPUs by forked processes too, and
+    # none of them may flush it again
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "r"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from funcoord.cli import main; sys.exit(main())",
+         "verify", "--suite", "xdx", "--suite", "riccati", "--n", "512", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[PASS] xdx: xdx_intertwine", "[PASS] riccati: riccati_second_order", "summary: all passed",
+    ]
+    assert sorted(os.listdir(out)) == [
+        "riccati_table.csv", "suite_riccati.json", "suite_xdx.json", "summary.json",
+    ]
+    grid = make_uniform_grid(0.0, 1.0, 512)
+    kernel = riccati_kernel(1.0, COEFFICIENTS["y^2"].fn, COEFFICIENTS["y"].fn, grid)
+    expected = "".join(csv_blocks(("x", "y", "w"), *kernel.table)).encode()
+    digest = hashlib.sha256((out / "riccati_table.csv").read_bytes()).hexdigest()
+    assert digest == hashlib.sha256(expected).hexdigest()
 
 
 @pytest.mark.parametrize("dtype, header", [(float, ["x", "y", "R"]),
