@@ -224,15 +224,16 @@ class RunConfig:
             _check_type(f"kernel.{name}", self.kernel[name], types[name])
         for key, value in self.tolerances.items():
             suite, dot, residual = key.partition(".")
-            if not dot or suite not in SUITE_TOLERANCES:
+            declared = INPUTS[suite][2] if suite in SUITES else {}
+            if not dot or not declared:
                 raise ConfigError(
                     f"tolerance override {key!r} names no suite that takes overrides; "
                     "use '<suite>.<residual>' (the theorem suite takes none)"
                 )
-            if residual not in SUITE_TOLERANCES[suite]:
+            if residual not in declared:
                 raise ConfigError(
                     f"tolerance override {key!r} names no residual of suite {suite!r}; "
-                    f"it reports {sorted(SUITE_TOLERANCES[suite])}"
+                    f"it reports {sorted(declared)}"
                 )
             if suite not in self.suites:
                 raise ConfigError(
@@ -251,15 +252,6 @@ class RunConfig:
     def make_kernel(self) -> Kernel:
         params = {k: v for k, v in self.kernel.items() if k != "id"}
         return KERNELS[self.kernel["id"]][0](**params)
-
-    def suite_tolerances(self, suite: str) -> Dict[str, float]:
-        """Overrides for one suite, given as '<suite>.<residual>' keys."""
-        prefix = suite + "."
-        return {
-            key[len(prefix):]: float(value)
-            for key, value in self.tolerances.items()
-            if key.startswith(prefix)
-        }
 
 
 def _check_type(key: str, value, hint) -> None:
@@ -307,19 +299,10 @@ def _resolve_config(args) -> RunConfig:
     """The config file's fields overridden by the flags given, validated
     for the command; every field either sets counts as set by the user."""
     doc = _load_config(getattr(args, "config", None))
-    flags = vars(args)
-    for name in ("n", "lo", "hi", "out", "seed", "threshold", "a", "b"):
-        if flags.get(name) is not None:
-            doc[name] = flags[name]
-    for name in ("periodic", "invert"):
-        if flags.get(name):
-            doc[name] = True
-    if flags.get("kernel") is not None:
-        doc["kernel"] = {"id": flags["kernel"]}
-    if flags.get("suite"):
-        doc["suites"] = list(flags["suite"])
-    if flags.get("format") is not None:
-        doc["formats"] = [f.strip() for f in flags["format"].split(",") if f.strip()]
+    # a flag not given leaves no attribute, and each flag's dest is its field
+    doc.update((k, v) for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__)
+    if "kernel" in vars(args):
+        doc["kernel"] = {"id": args.kernel}
     return RunConfig(**doc).validate(args.command, doc)
 
 
@@ -328,20 +311,18 @@ def _resolve_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _suite_fourier(config: RunConfig, grid: Grid) -> List[VerificationReport]:
-    tol = config.suite_tolerances("fourier") or None
+def _suite_fourier(config: RunConfig, tol: dict, grid: Grid) -> List[VerificationReport]:
     return [check_fourier_diagonalizes(grid, order=1, tolerances=tol)]
 
 
-def _suite_derivative(config: RunConfig, grid: Grid) -> List[VerificationReport]:
-    tol = config.suite_tolerances("derivative") or None
+def _suite_derivative(config: RunConfig, tol: dict, grid: Grid) -> List[VerificationReport]:
     return [
         check_derivative_preservation(gaussian(), grid, tolerances=tol),
         check_derivative_preservation(translation_tgauss(), grid, tolerances=tol),
     ]
 
 
-def _suite_theorem(config: RunConfig, grid: Grid) -> List[VerificationReport]:
+def _suite_theorem(config: RunConfig, tol: dict, grid: Grid) -> List[VerificationReport]:
     L, u, v = step_instance()
     first = smooth_from_generalized(
         L, u, v, grid, seed=config.seed, tolerance=1.0e-6,
@@ -356,8 +337,7 @@ def _suite_theorem(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     return [first, second, suite]
 
 
-def _suite_product(config: RunConfig, grid: Grid) -> List[VerificationReport]:
-    tol = config.suite_tolerances("product") or None
+def _suite_product(config: RunConfig, tol: dict, grid: Grid) -> List[VerificationReport]:
     x2p1 = lambda t: np.asarray(t, dtype=float) ** 2 + 1.0
     ident = lambda t: np.asarray(t, dtype=float)
     return [
@@ -367,16 +347,16 @@ def _suite_product(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     ]
 
 
-def _suite_xdx(config: RunConfig, grid: Grid) -> List[VerificationReport]:
-    tol = config.suite_tolerances("xdx") or None
+def _suite_xdx(config: RunConfig, tol: dict, grid: Grid) -> List[VerificationReport]:
     return [check_xdx_intertwine(grid, tolerances=tol)]
 
 
-def _suite_nonlinear(config: RunConfig, grid_id: Grid, grid_g: Grid) -> List[VerificationReport]:
-    tol = config.suite_tolerances("nonlinear") or None
+def _suite_nonlinear(
+    config: RunConfig, tol: dict, grid_id: Grid, grid_g: Grid
+) -> List[VerificationReport]:
     ident = check_nonlinear_tensor(
         dilation(1.0), np.sin(grid_id.nodes), grid_id, config.threshold,
-        tolerances={**{"tensor_residual": 1.0e-9}, **(tol or {})},
+        tolerances={"tensor_residual": 1.0e-9, **tol},
     )
     gauss = check_nonlinear_tensor(
         gaussian(), np.sin(grid_g.nodes), grid_g, config.threshold, tolerances=tol
@@ -387,8 +367,7 @@ def _suite_nonlinear(config: RunConfig, grid_id: Grid, grid_g: Grid) -> List[Ver
 RICCATI_TOLERANCES = {"kernel_equation_residual": 1.0e-6}
 
 
-def _suite_riccati(config: RunConfig, grid: Grid) -> List[VerificationReport]:
-    tol = _tolerances(RICCATI_TOLERANCES, config.suite_tolerances("riccati"))
+def _suite_riccati(config: RunConfig, tol: dict, grid: Grid) -> List[VerificationReport]:
     y2 = COEFFICIENTS["y^2"]
     kernel = riccati_kernel(1.0, y2.fn, COEFFICIENTS["y"].fn, grid)
     if "csv" in config.formats:
@@ -398,7 +377,7 @@ def _suite_riccati(config: RunConfig, grid: Grid) -> List[VerificationReport]:
         VerificationReport.build(
             name="riccati_second_order",
             residuals={"kernel_equation_residual": residual},
-            tolerances=tol,
+            tolerances=_tolerances(RICCATI_TOLERANCES, tol),
             notes=(
                 "slope data b = y^2, g0 = y reproduces the separable kernel "
                 "e^{x y}; residual of a d^2 w/dx^2 = w b on interior nodes",
@@ -407,6 +386,8 @@ def _suite_riccati(config: RunConfig, grid: Grid) -> List[VerificationReport]:
     ]
 
 
+#: suite -> check(config, {residual: override} of its '<suite>.<residual>'
+#: tolerance overrides, *its default grids), returning its reports
 SUITES: Dict[str, Callable] = {
     "fourier": _suite_fourier,
     "derivative": _suite_derivative,
@@ -417,17 +398,6 @@ SUITES: Dict[str, Callable] = {
     "riccati": _suite_riccati,
 }
 
-#: suite -> default tolerance per residual: the '<suite>.<residual>' keys a
-#: tolerance override may name (the theorem suite takes none)
-SUITE_TOLERANCES: Dict[str, Dict[str, float]] = {
-    "fourier": FOURIER_TOLERANCES,
-    "derivative": DERIVATIVE_TOLERANCES,
-    "product": PRODUCT_TOLERANCES,
-    "xdx": XDX_TOLERANCES,
-    "nonlinear": NONLINEAR_TOLERANCES,
-    "riccati": RICCATI_TOLERANCES,
-}
-
 #: the RunConfig fields that make up a grid, in make_uniform_grid's order
 GRID_FIELDS = ("lo", "hi", "n", "periodic")
 
@@ -435,21 +405,23 @@ GRID_FIELDS = ("lo", "hi", "n", "periodic")
 RUN_WIDE = ("out", "seed")
 
 #: verify suite or command -> (the RunConfig fields it reads besides
-#: RUN_WIDE, its default grids as (lo, hi, n, periodic)). Setting a field
-#: that the command, or a selected suite, does not read is a configuration
-#: error; a grid field that is set replaces the default.
-INPUTS: Dict[str, Tuple[Tuple[str, ...], Tuple[tuple, ...]]] = {
-    "verify": (("suites", "tolerances"), ()),
-    "fourier": (("n",), ((0.0, 2.0 * np.pi, 32, True),)),
-    "derivative": (GRID_FIELDS, ((-6.0, 6.0, 48, True),)),
-    "theorem": ((), ((-0.8, 0.8, 64, False),)),
-    "product": ((*GRID_FIELDS, "threshold"), ((-6.0, 6.0, 64, False),)),
-    "xdx": (("n",), ((0.0, 1.0, 32, False),)),
+#: RUN_WIDE, its default grids as (lo, hi, n, periodic), its default
+#: tolerance per residual). Setting a field that the command, or a selected
+#: suite, does not read is a configuration error; a grid field that is set
+#: replaces the default; a tolerance override '<suite>.<residual>' may name
+#: only a residual the suite declares (the theorem suite declares none).
+INPUTS: Dict[str, Tuple[Tuple[str, ...], Tuple[tuple, ...], Dict[str, float]]] = {
+    "verify": (("suites", "tolerances"), (), {}),
+    "fourier": (("n",), ((0.0, 2.0 * np.pi, 32, True),), FOURIER_TOLERANCES),
+    "derivative": (GRID_FIELDS, ((-6.0, 6.0, 48, True),), DERIVATIVE_TOLERANCES),
+    "theorem": ((), ((-0.8, 0.8, 64, False),), {}),
+    "product": ((*GRID_FIELDS, "threshold"), ((-6.0, 6.0, 64, False),), PRODUCT_TOLERANCES),
+    "xdx": (("n",), ((0.0, 1.0, 32, False),), XDX_TOLERANCES),
     "nonlinear": (("threshold",), ((0.0, 2.0 * np.pi, 32, True),
-                                   (-2.0 * np.pi, 2.0 * np.pi, 64, True))),
-    "riccati": (("n", "formats"), ((0.0, 1.0, 64, False),)),
-    "transform": (("kernel", "invert", "threshold", "formats"), ()),
-    "residual": (("kernel", "a", "b", "formats", *GRID_FIELDS), ((-6.0, 6.0, 32, False),)),
+                                   (-2.0 * np.pi, 2.0 * np.pi, 64, True)), NONLINEAR_TOLERANCES),
+    "riccati": (("n", "formats"), ((0.0, 1.0, 64, False),), RICCATI_TOLERANCES),
+    "transform": (("kernel", "invert", "threshold", "formats"), (), {}),
+    "residual": (("kernel", "a", "b", "formats", *GRID_FIELDS), ((-6.0, 6.0, 32, False),), {}),
 }
 
 
@@ -492,6 +464,10 @@ def _write_table(path: Path, names: Sequence[str], x, y, values) -> None:
                     with part.open("w", encoding="utf-8") as fh:
                         fh.writelines(islice(csv_blocks(names, x[r], y, values[r]), 1, None))
                     os._exit(0)
+                except BaseException:
+                    import traceback  # the cause goes to fd 2, past sys.stderr's buffer
+
+                    os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(1)
             children.append(pid)
@@ -543,7 +519,9 @@ def cmd_verify(config: RunConfig) -> int:
     out = Path(config.out)
     summary = {"suites": {}, "all_passed": True, "seed": config.seed}
     for suite in config.suites:
-        reports = SUITES[suite](config, *_grids(config, suite))
+        tol = {key.partition(".")[2]: value for key, value in config.tolerances.items()
+               if key.partition(".")[0] == suite}
+        reports = SUITES[suite](config, tol, *_grids(config, suite))
         passed = all(r.passed for r in reports)
         summary["suites"][suite] = passed
         summary["all_passed"] = summary["all_passed"] and passed
@@ -643,7 +621,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, summary):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--n", type=int, help="node count (>= 8)")
         p.add_argument("--lo", type=float, help="left endpoint")
@@ -652,17 +631,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=float, help="SVD truncation threshold")
         p.add_argument("--seed", type=int, help="seed for randomized draws")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", help="comma-separated outputs: csv,json")
+        p.add_argument("--format", dest="formats", metavar="FORMAT",
+                       type=lambda text: [f.strip() for f in text.split(",") if f.strip()],
+                       help="comma-separated outputs: csv,json")
+        return p
 
     # verify takes no --kernel: every suite builds its own kernels
-    verify = sub.add_parser("verify", help="run verification suites")
-    add_common(verify)
-    verify.add_argument(
-        "--suite", action="append", help="suite id or 'all' (repeatable)"
-    )
+    verify = add_command("verify", "run verification suites")
+    verify.add_argument("--suite", dest="suites", metavar="SUITE", action="append",
+                        help="suite id or 'all' (repeatable)")
 
-    transform = sub.add_parser("transform", help="transform a generalized function")
-    add_common(transform)
+    transform = add_command("transform", "transform a generalized function")
     transform.add_argument("--kernel", help="kernel id", choices=sorted(KERNELS))
     transform.add_argument("--input", required=True, help="generalized-function JSON file")
     transform.add_argument(
@@ -670,8 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also apply the regularized inverse and print its condition report",
     )
 
-    residual = sub.add_parser("residual", help="kernel-equation residual field")
-    add_common(residual)
+    residual = add_command("residual", "kernel-equation residual field")
     residual.add_argument("--kernel", help="kernel id", choices=sorted(KERNELS))
     # distinct dest names: --n is the grid size, these are derivative orders
     residual.add_argument("dx_order", type=int, help="x-derivative order")
@@ -695,8 +673,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_verify(config)
         if args.command == "transform":
             return cmd_transform(config, args.input)
-        if args.command == "residual":
-            return cmd_residual(config, args.dx_order, args.dy_order)
+        return cmd_residual(config, args.dx_order, args.dy_order)
     except FuncoordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # numerical failures are the FuncoordErrors that are ArithmeticErrors
@@ -704,7 +681,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

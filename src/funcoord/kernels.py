@@ -730,7 +730,7 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
         dg/dx = b(y)/a(x) - g^2,    g(lo, y) = g0(y),
 
     integrated per column by the classical 4th-order Runge-Kutta method,
-    with ``f`` recovered by cumulative trapezoid quadrature (``f(lo,.) = 0``).
+    with ``f`` (``f(lo,.) = 0``, ``df/dx = g``) integrated in the same steps.
     The result is tabulated on the grid rectangle, and the kernel is
     evaluated on its nodes only: any other argument raises
     :class:`DomainError`. On the full node grid, ``w(x[:, None],
@@ -768,8 +768,8 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
         if not np.abs(g_next).max() <= RICCATI_BLOWUP:  # NaN fails the test too
             bad = int(np.argmax(~np.isfinite(g_next) | (np.abs(g_next) > RICCATI_BLOWUP)))
             raise RiccatiBlowupError(float(x[i + 1]), float(y[bad]), float(g_next[bad]))
-        # cumulative trapezoid rule, in scipy's cumulative_trapezoid's arithmetic
-        values[i + 1] = values[i] + h * (g_next + g) / 2.0
+        # f's stages are g + (0, h/2 k1, h/2 k2, h k3), so its RK4 step is this
+        values[i + 1] = values[i] + h * g + h * h / 6.0 * (k1 + k2 + k3)
         g = g_next
     np.exp(values, out=values)
     _require_finite("riccati", values, x, y)

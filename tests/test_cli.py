@@ -61,6 +61,19 @@ def test_verify_all_suites_pass(tmp_path):
     assert run(["verify", "--suite", "all", "--out", str(tmp_path / "all")]) == 0
 
 
+def test_inputs_declares_each_suite_and_the_residuals_it_reports(tmp_path):
+    # the tolerance overrides a suite accepts are exactly the residuals its
+    # reports carry, so no override is refused that a report would read
+    assert set(SUITES) <= set(INPUTS)
+    assert set(INPUTS) - set(SUITES) == {"verify", "transform", "residual"}
+    assert run(["verify", "--suite", "all", "--out", str(tmp_path)]) == 0
+    for suite in SUITES:
+        doc = json.loads((tmp_path / f"suite_{suite}.json").read_text())
+        reported = {key for report in doc["reports"] for key in report["residuals"]}
+        # the theorem suite's tolerances are fixed: it declares none
+        assert set(INPUTS[suite][2]) == (set() if suite == "theorem" else reported), suite
+
+
 @pytest.mark.parametrize("n", [32, 64, 128])
 @pytest.mark.parametrize("suite", [s for s in SUITES if "n" in INPUTS[s][0]])
 def test_suites_that_read_n_pass_at_every_grid_size(tmp_path, suite, n):
@@ -451,7 +464,7 @@ def test_table_written_in_ranges_equals_the_joined_blocks(tmp_path, monkeypatch,
     assert os.listdir(tmp_path) == ["riccati_table.csv"]
 
 
-def test_table_writer_leaves_no_file_and_no_child_when_a_child_fails(tmp_path, monkeypatch):
+def test_table_writer_leaves_no_file_and_no_child_when_a_child_fails(tmp_path, monkeypatch, capfd):
     x, y, table = split_table(monkeypatch, 3)
     parent = os.getpid()
 
@@ -466,6 +479,8 @@ def test_table_writer_leaves_no_file_and_no_child_when_a_child_fails(tmp_path, m
     assert os.listdir(tmp_path) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # each failed child reports its cause on the process's stderr
+    assert "formatting failed in a child" in capfd.readouterr().err
 
 
 def test_verify_riccati_at_n512_prints_once_and_writes_the_joined_table(tmp_path):

@@ -600,6 +600,20 @@ def test_riccati_fixed_point_gives_plain_exponential():
     assert norm < 1e-8
 
 
+def test_riccati_table_is_fourth_order_where_the_slope_varies():
+    # b = y^2, g0 = 0 gives w = cosh(y x), whose log-slope y tanh(y x)
+    # varies in x, so f = log w shows the integrator's own order
+    def error(n):
+        g = make_uniform_grid(0.0, 1.0, n, periodic=False)
+        table = riccati_kernel(1.0, lambda y: np.asarray(y) ** 2, 0.0, g).table[2]
+        exact = np.cosh(np.outer(g.nodes, g.nodes))
+        return np.max(np.abs(table - exact) / exact)
+
+    coarse, fine = error(64), error(128)
+    assert coarse <= 1e-9
+    assert np.log2(coarse / fine) >= 3.9
+
+
 def test_riccati_blowup_reports_location():
     g = make_uniform_grid(0.0, 3.0, 64, periodic=False)
     with pytest.raises(RiccatiBlowupError) as err:

@@ -1,0 +1,140 @@
+"""Compare what two funcoord source trees print and write for a fixed list of
+command lines.
+
+    python3 tools/compare_outputs.py [--parent REV]
+
+The tree at ``REV`` (default ``HEAD``) is exported with ``git archive`` and
+compared with the working tree that holds this script, uncommitted edits
+included. Each invocation runs once per tree, from a fresh directory of its
+own, with a relative ``--out``, so no path differs between the two runs. For
+each invocation the script prints both exit codes and every stdout, stderr or
+output file whose sha256 differs (or that only one tree wrote). It exits 0
+when nothing differs, 1 when something does and 2 when the export fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from typing import Dict, List
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: a generalized function on 32 nodes of [-6, 6]: smooth samples and a delta
+_X = [-6.0 + 12.0 * i / 31 for i in range(32)]
+GF = {
+    "smooth": [math.exp(-x * x) * math.cos(2.0 * x) for x in _X],
+    "jumps": [],
+    "singular": [[0.0, 1, 0.5]],
+    "grid": {"lo": -6.0, "hi": 6.0, "n": 32, "periodic": False},
+}
+
+#: files each run directory holds before the invocation starts
+INPUT_FILES = {
+    "gf.json": json.dumps(GF),
+    "theorem_override.json": json.dumps({"tolerances": {"theorem.operator_residual": 1.0}}),
+}
+
+#: the compared command lines; each gets "--out out" appended, except the
+#: --help runs, which write nothing
+INVOCATIONS: List[List[str]] = [
+    ["verify", "--suite", "all", "--seed", "7"],
+    # the benchmark's verify --n 512 run, and its fourier run, which exits 4
+    ["verify", "--suite", "derivative", "--suite", "product", "--suite", "xdx",
+     "--suite", "riccati", "--n", "512", "--seed", "7"],
+    ["verify", "--suite", "fourier", "--n", "512", "--seed", "7"],
+    ["verify", "--suite", "riccati", "--format", "json"],
+    ["residual", "1", "1", "--kernel", "gaussian", "--n", "32"],
+    ["transform", "--input", "gf.json", "--kernel", "gaussian", "--invert",
+     "--threshold", "1e-8"],
+    # configuration errors: each exits 2 with its message on stderr
+    ["verify", "--suite", "fourier", "--format", "csv"],
+    ["verify", "--suite", "theorem", "--config", "theorem_override.json"],
+    ["verify", "--suite", "nope"],
+    ["verify", "--suite", "fourier", "--kernel", "gaussian"],
+    ["--help"],
+    ["verify", "--help"],
+    ["transform", "--help"],
+    ["residual", "--help"],
+]
+
+CLI = "import sys; from funcoord.cli import main; sys.exit(main())"
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the tree at ``rev`` into ``dest`` through ``git archive``."""
+    archive = subprocess.run(
+        ["git", "-C", str(REPO), "archive", "--format=tar", rev],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=True,
+    )
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest)
+
+
+def run(tree: Path, argv: List[str], cwd: Path) -> Dict[str, object]:
+    """Run one invocation of ``tree``'s CLI in the fresh directory ``cwd``;
+    return its exit code and the sha256 of its streams and of every file it
+    left in ``cwd``, by name relative to ``cwd``."""
+    cwd.mkdir(parents=True)
+    for name, text in INPUT_FILES.items():
+        (cwd / name).write_text(text, encoding="utf-8")
+    if "--help" not in argv:
+        argv = [*argv, "--out", "out"]
+    # the help text wraps to COLUMNS, and only the tree's own src is imported
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(PYTHONPATH=str(tree / "src"), COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI, *argv], cwd=cwd, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=600,
+    )
+    digests = {
+        str(path.relative_to(cwd)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(cwd.rglob("*")) if path.is_file()
+    }
+    digests["<stdout>"] = hashlib.sha256(proc.stdout).hexdigest()
+    digests["<stderr>"] = hashlib.sha256(proc.stderr).hexdigest()
+    return {"exit": proc.returncode, "digests": digests}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    args = parser.parse_args(argv)
+    differences = 0
+    with tempfile.TemporaryDirectory(prefix="funcoord-compare-") as tmp:
+        parent = Path(tmp) / "parent"
+        try:
+            export(args.parent, parent)
+        except subprocess.CalledProcessError as exc:
+            print(f"error: cannot export {args.parent!r}: {exc.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 2
+        for k, invocation in enumerate(INVOCATIONS):
+            old = run(parent, invocation, Path(tmp) / "runs" / "parent" / str(k))
+            new = run(REPO, invocation, Path(tmp) / "runs" / "tree" / str(k))
+            moved = [
+                name for name in sorted(set(old["digests"]) | set(new["digests"]))
+                if old["digests"].get(name) != new["digests"].get(name)
+            ]
+            same = not moved and old["exit"] == new["exit"]
+            differences += not same
+            print(f"[{'same' if same else 'DIFF'}] {' '.join(invocation)}: "
+                  f"exit {old['exit']} -> {new['exit']}")
+            for name in moved:
+                before, after = (side["digests"].get(name, "absent")[:12] for side in (old, new))
+                print(f"    {name}: {before} -> {after}")
+    print(f"{differences} of {len(INVOCATIONS)} invocations differ from {args.parent}")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
