@@ -242,6 +242,8 @@ class RunConfig:
                 )
             if not value > 0:
                 raise ConfigError(f"tolerance override {key!r} must be positive")
+        if not self.formats:
+            raise ConfigError("no output format given; choose csv, json or both")
         for fmt in self.formats:
             if fmt not in ("csv", "json"):
                 raise ConfigError(f"unknown output format {fmt!r}")

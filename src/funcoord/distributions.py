@@ -166,7 +166,7 @@ class GeneralizedFunction:
         )
 
     def __add__(self, other: "GeneralizedFunction") -> "GeneralizedFunction":
-        if other.grid is not self.grid and not _same_grid(self.grid, other.grid):
+        if other.grid != self.grid:
             raise DomainError("cannot add generalized functions on different grids")
         if self.smooth is None:
             smooth = other.smooth
@@ -234,12 +234,6 @@ def _finite_number(literal: str) -> float:
     return value
 
 
-def _same_grid(a: Grid, b: Grid) -> bool:
-    return (
-        a.lo == b.lo and a.hi == b.hi and a.n == b.n and a.periodic == b.periodic
-    )
-
-
 def _merged(pairs) -> list:
     """``(key, weight)`` pairs with equal keys' weights summed, zero sums
     dropped, sorted by key."""
@@ -296,7 +290,7 @@ def pair(f: GeneralizedFunction, test: TestFunction) -> float:
     from the supplied callable. Raises :class:`DomainError` if the test
     function lacks a required derivative order.
     """
-    if not _same_grid(f.grid, test.grid):
+    if f.grid != test.grid:
         raise DomainError("generalized function and test function use different grids")
     total = 0.0
     if f.smooth is not None:

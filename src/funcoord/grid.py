@@ -12,9 +12,9 @@ stencils (:func:`_fd_band`), centred and one-sided at each edge, applied to
 shifted slices (:func:`_fd_rows`); the kernel residual differences with
 them on every grid, leaving the boundary rows out. Either keeps
 differentiation error far below the transform errors probed by the
-verification suites. :func:`diff_matrix` is its dense form, built from it:
-the spectral matrix is circulant, filled from its first column, and the
-finite-difference matrix is the derivative of the identity.
+verification suites, which differentiate through it alone. Its dense
+form :func:`diff_matrix`, the reference tests compare against, is built
+from it: circulant on periodic grids, else the derivative of the identity.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ _ROW_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform discretization of an interval.
+    """Uniform discretization of an interval. Grids compare and hash by
+    ``(lo, hi, n, periodic)``, which determine the nodes and weights.
 
     Attributes
     ----------
@@ -72,8 +73,8 @@ class Grid:
     hi: float
     n: int
     periodic: bool
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
 
     @property
     def spacing(self) -> float:

@@ -41,10 +41,10 @@ from .distributions import (
 from .errors import DomainError, NotASolutionError, PreconditionError
 from .grid import (
     Grid,
+    OperatorMatrix,
     _row_blocks,
     derivative,
     derivative_symbol,
-    diff_matrix,
     make_uniform_grid,
     wavenumbers,
 )
@@ -62,7 +62,7 @@ from .kernels import (
     kernel_pde_residual,
     kernel_table,
 )
-from .operators import conjugate, conjugate_factored, locality_score
+from .operators import conjugate_factored, locality_score
 
 __all__ = [
     "VerificationReport",
@@ -159,10 +159,11 @@ def check_fourier_diagonalizes(
     Requires a frequency-matched periodic grid on ``[0, 2*pi)`` so the
     discretized kernel is the inverse discrete Fourier transform up to
     scaling. Checks the intertwining identity ``A W = W B`` with
-    ``B = diag((i*kappa)^order)`` and the band-0 locality of the explicitly
-    conjugated operator. For even node counts the unpaired Nyquist mode
-    follows the spectral-differentiation convention (multiplier 0 for odd
-    orders); the note records it.
+    ``B = diag((i*kappa)^order)``, ``A W`` the derivative of each column,
+    and the band-0 locality of ``W^-1 A W``, inverted in closed form: the
+    columns are orthogonal, ``W^H W = n h^2 I``. For even node counts the
+    unpaired Nyquist mode follows the spectral-differentiation convention
+    (multiplier 0 for odd orders); the note records it.
     """
     if not grid.periodic or abs(grid.lo) > 1e-12 or abs(grid.hi - 2 * np.pi) > 1e-12:
         raise PreconditionError(
@@ -175,13 +176,14 @@ def check_fourier_diagonalizes(
     tol = _tolerances(defaults, tolerances)
     from .kernels import fourier as fourier_kernel
 
-    A = diff_matrix(grid, order)
-    W = discretize(fourier_kernel(), grid)
-    symbol = derivative_symbol(grid, order)
-
+    W = discretize(fourier_kernel(), grid).entries
+    AW = derivative(grid, W, order)
     # W B with B = diag(symbol) is W with its columns scaled
-    intertwine = float(np.max(np.abs(A.entries @ W.entries - W.entries * symbol)))
-    conj = conjugate(A, W)
+    intertwine = float(np.max(np.abs(AW - W * derivative_symbol(grid, order))))
+    # W^-1 = W^H / (n h^2), and every singular value of W is h sqrt(n)
+    n, h = grid.n, grid.spacing
+    sigma = float(h * np.sqrt(n))
+    conj = OperatorMatrix(W.conj().T @ AW / (n * h * h), grid, ConditionReport(sigma, sigma, 0, n))
     score0 = locality_score(conj, 0)
 
     kappa = wavenumbers(grid)
@@ -231,9 +233,12 @@ def check_derivative_preservation(
 
     1-D: reports the worst commutator residual ``(D_q W - W D_q) phi`` over
     band-limited samples for orders 1 and 2 (absolute, and relative to
-    ``|W phi|`` so the figure is invariant under rescaling the profile).
+    ``|W phi|`` so the figure is invariant under rescaling the profile),
+    with each ``D_q`` the :func:`~funcoord.grid.derivative` of samples.
     2-D: the tensor-product kernel ``W (x) W`` against both partial
-    derivative matrices on a small tensor grid.
+    derivatives on a small tensor grid, applied to the array ``F`` of
+    samples as ``W F W^T``; the partial along the second axis is the one
+    along the first of ``F^T``.
 
     Needs a periodic grid wide enough that the profile decays across half
     the span; otherwise the truncated transform is not translation-
@@ -248,14 +253,14 @@ def check_derivative_preservation(
     tol = _tolerances(DERIVATIVE_TOLERANCES, tolerances)
 
     # each commutator acts on the test vectors as D (W phi) - W (D phi),
-    # products with a block of three vectors, and is never formed itself
+    # on a block of three vectors, and is never formed itself
     W = discretize(kernel, grid).entries
     phi = _bandlimited_samples(grid)
     w_phi = W @ phi
     res = {}
     for order in (1, 2):
-        D = diff_matrix(grid, order).entries
-        num = np.max(np.abs(D @ w_phi - W @ (D @ phi)), axis=0)
+        commuted = derivative(grid, w_phi, order) - W @ derivative(grid, phi, order)
+        num = np.max(np.abs(commuted), axis=0)
         res[f"commutator_order{order}"] = float(np.max(num))
         if order == 1:
             res["commutator_order1_rel"] = float(np.max(num / np.max(np.abs(w_phi), axis=0)))
@@ -265,19 +270,14 @@ def check_derivative_preservation(
     n2 = min(axis_nodes_2d, grid.n, 24)
     grid2 = make_uniform_grid(grid.lo, grid.hi, n2, periodic=True)
     W1 = discretize(kernel, grid2).entries
-    D1 = diff_matrix(grid2, 1).entries
-    eye = np.eye(n2)
-    Wk = np.kron(W1, W1)
-    span = grid2.hi - grid2.lo
-    k = 2.0 * np.pi / span
-    phi2 = np.outer(
-        np.sin(k * grid2.nodes), np.cos(k * grid2.nodes)
-    ).ravel()
-    w_phi2 = Wk @ phi2
-    worst = 0.0
-    for Dax in (np.kron(D1, eye), np.kron(eye, D1)):
-        worst = max(worst, float(np.max(np.abs(Dax @ w_phi2 - Wk @ (Dax @ phi2)))))
-    res["partials_2d"] = worst
+    k = 2.0 * np.pi / (grid2.hi - grid2.lo)
+    F = np.outer(np.sin(k * grid2.nodes), np.cos(k * grid2.nodes))
+    res["partials_2d"] = max(
+        float(np.max(np.abs(
+            derivative(grid2, W1 @ G @ W1.T, 1) - W1 @ derivative(grid2, G, 1) @ W1.T
+        )))
+        for G in (F, F.T)
+    )
 
     return VerificationReport.build(
         name=f"derivative_preservation_{kernel.id}",

@@ -739,6 +739,26 @@ def test_format_and_threshold_are_read_where_they_apply(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["rank"] < 64
 
 
+@pytest.mark.parametrize("how", ["transform", "residual", "residual_empty_flag", "config"])
+def test_empty_format_list_is_config_error_and_writes_nothing(tmp_path, capsys, how):
+    gf = make_gf_json(tmp_path, "delta.json", {
+        "smooth": None, "jumps": [], "singular": [[0.0, 0, 1.0]], "grid": GRID_DOC,
+    })
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"formats": []}))
+    out = tmp_path / "o"
+    argv = {
+        "transform": ["transform", "--input", gf, "--kernel", "gaussian", "--format", ","],
+        "residual": ["residual", "1", "1", "--kernel", "gaussian", "--format", ","],
+        "residual_empty_flag": ["residual", "1", "1", "--kernel", "gaussian", "--format", ""],
+        "config": ["residual", "1", "1", "--kernel", "gaussian", "--config", str(config)],
+    }[how]
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "no output format" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_transform_invert_applies_the_regularized_inverse(tmp_path, capsys):
     from funcoord import discretize, gaussian, invert, make_uniform_grid
 

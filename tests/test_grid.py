@@ -18,6 +18,7 @@ from funcoord import (
 )
 from funcoord import grid as grid_module
 from funcoord import kernels as kernels_module
+from funcoord import operators as operators_module
 from funcoord import theorems as theorems_module
 from funcoord.cli import main
 from funcoord.grid import OperatorMatrix, csv_blocks, csv_text, derivative_symbol, fd_weights
@@ -240,24 +241,37 @@ def test_large_entries_are_freed_with_their_caller():
     assert ref() is None
 
 
-def test_verify_all_builds_dense_matrices_only_for_fourier_and_derivative(tmp_path, monkeypatch):
-    builds = []
+def test_verify_all_builds_no_dense_difference_matrix(tmp_path, monkeypatch):
+    calls = []
 
-    def counted(g, q, build=grid_module.diff_matrix):
-        builds.append((g.lo, g.hi, g.n, g.periodic, q))
-        return build(g, q)
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
 
-    for module in (grid_module, kernels_module, theorems_module):
-        monkeypatch.setattr(module, "diff_matrix", counted)
+        return wrapper
+
+    # each name is patched in the modules that hold it; the suites hold neither
+    assert not hasattr(theorems_module, "diff_matrix")
+    assert not hasattr(theorems_module, "conjugate")
+    for module in (grid_module, kernels_module):
+        monkeypatch.setattr(module, "diff_matrix", counted("diff_matrix", grid_module.diff_matrix))
+    monkeypatch.setattr(operators_module, "conjugate", counted("conjugate", operators_module.conjugate))
+    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
     assert main(["verify", "--suite", "all", "--seed", "7", "--out", str(tmp_path)]) == 0
-    # fourier conjugates its dense matrix and the derivative suite takes
-    # products with it; the theorem, nonlinear and riccati suites
-    # differentiate through grid.derivative or the band, on no dense matrix
-    assert {b[:4] for b in builds} == {
-        (0.0, 2 * np.pi, 32, True),
-        (-6.0, 6.0, 48, True),
-        (-6.0, 6.0, 16, True),
-    }
+    # every suite differentiates samples through grid.derivative or the band,
+    # and the fourier check inverts its table in closed form
+    assert calls == []
+
+
+def test_grids_compare_and_hash_by_their_parameters():
+    g = make_uniform_grid(-6.0, 6.0, 48, periodic=True)
+    same = make_uniform_grid(-6, 6, 48, periodic=True)
+    assert g is not same and g == same and hash(g) == hash(same)
+    assert g != make_uniform_grid(-6.0, 6.0, 49, periodic=True)
+    assert g != make_uniform_grid(-6.0, 6.0, 48, periodic=False)
+    assert g != make_uniform_grid(-6.0, 7.0, 48, periodic=True)
+    assert len({g, same}) == 1
 
 
 def test_fd_weights_recover_taylor_coefficients():

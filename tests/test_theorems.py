@@ -13,15 +13,22 @@ from funcoord import (
     check_nonlinear_tensor,
     check_product_preservation,
     check_xdx_intertwine,
+    conjugate,
+    diff_matrix,
     dilation,
+    discretize,
     exp_exp,
+    fourier,
     gaussian,
+    locality_score,
     make_uniform_grid,
     multiplication,
     residual_blocks,
     smooth_from_generalized,
     theorem_property_suite,
 )
+from funcoord import theorems as theorems_module
+from funcoord.grid import OperatorMatrix
 from funcoord.kernels import _translation
 from funcoord.theorems import VerificationReport, ramp_instance, step_instance
 
@@ -73,6 +80,26 @@ def test_fourier_diagonalizes_second_order():
     assert report.residuals["intertwine_max"] < 1e-7
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [16, 32, 33, 64])
+def test_fourier_closed_form_conjugate_matches_the_svd_conjugate(monkeypatch, n, order):
+    # the dense reference: diff_matrix conjugated through the truncated SVD
+    scored = []
+    monkeypatch.setattr(theorems_module, "locality_score",
+                        lambda A, bw: scored.append(A) or locality_score(A, bw))
+    grid = fourier_grid(n)
+    report = check_fourier_diagonalizes(grid, order=order)
+    reference = conjugate(diff_matrix(grid, order), discretize(fourier(), grid))
+    (closed,) = scored
+    assert np.max(np.abs(closed.entries - reference.entries)) <= 1e-12 * np.max(
+        np.abs(reference.entries)
+    )
+    got, want = report.condition, reference.condition
+    assert abs(got.sigma_max - want.sigma_max) <= 1e-12 * want.sigma_max
+    assert abs(got.sigma_min - want.sigma_min) <= 1e-12 * want.sigma_max
+    assert (got.truncated, got.rank) == (want.truncated, want.rank) == (0, n)
+
+
 def test_fourier_requires_matched_grid():
     with pytest.raises(PreconditionError):
         check_fourier_diagonalizes(make_uniform_grid(0.0, 2 * np.pi, 32, periodic=False))
@@ -91,6 +118,37 @@ def test_derivative_preservation_gaussian():
     assert report.passed
     assert report.residuals["commutator_order1"] < 1e-6
     assert report.residuals["partials_2d"] < 1e-5
+
+
+@pytest.mark.parametrize("n2", [8, 16])
+def test_derivative_check_by_axis_derivatives_matches_the_dense_kron_form(monkeypatch, n2):
+    # a table that is no translation kernel's, so that no commutator vanishes
+    def table(kernel, grid):
+        rng = np.random.default_rng(grid.n)
+        return OperatorMatrix(rng.standard_normal((grid.n, grid.n)), grid)
+
+    monkeypatch.setattr(theorems_module, "discretize", table)
+    grid = make_uniform_grid(-6.0, 6.0, 48, periodic=True)
+    report = check_derivative_preservation(gaussian(), grid, axis_nodes_2d=n2)
+
+    W, phi = table(None, grid).entries, theorems_module._bandlimited_samples(grid)
+    for order in (1, 2):
+        D = diff_matrix(grid, order).entries
+        dense = np.max(np.abs(D @ W @ phi - W @ D @ phi))
+        assert abs(report.residuals[f"commutator_order{order}"] - dense) <= 1e-12 * dense
+
+    # the 2-D reference: W (x) W and both partials as Kronecker products
+    grid2 = make_uniform_grid(-6.0, 6.0, n2, periodic=True)
+    W1, D1, eye = table(None, grid2).entries, diff_matrix(grid2, 1).entries, np.eye(n2)
+    Wk = np.kron(W1, W1)
+    k = 2.0 * np.pi / 12.0
+    phi2 = np.outer(np.sin(k * grid2.nodes), np.cos(k * grid2.nodes)).ravel()
+    kron = max(
+        np.max(np.abs(Dax @ Wk @ phi2 - Wk @ Dax @ phi2))
+        for Dax in (np.kron(D1, eye), np.kron(eye, D1))
+    )
+    assert kron > 1.0
+    assert abs(report.residuals["partials_2d"] - kron) <= 1e-12 * kron
 
 
 def test_derivative_preservation_rejects_non_translation():

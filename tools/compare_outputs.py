@@ -8,8 +8,11 @@ compared with the working tree that holds this script, uncommitted edits
 included. Each invocation runs once per tree, from a fresh directory of its
 own, with a relative ``--out``, so no path differs between the two runs. For
 each invocation the script prints both exit codes and every stdout, stderr or
-output file whose sha256 differs (or that only one tree wrote). It exits 0
-when nothing differs, 1 when something does and 2 when the export fails.
+output file whose sha256 differs (or that only one tree wrote). A differing
+JSON file or stdout is shown by value: each leaf whose ``repr`` moved, by its
+key path (a stdout that is not JSON by its line numbers), old and new. It
+exits 0 when nothing differs, 1 when something does and 2 when the export
+fails.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -80,10 +83,44 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest)
 
 
+def parsed(data: bytes):
+    """``data`` read as JSON, or else as its list of lines."""
+    text = data.decode("utf-8", "replace")
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text.splitlines()
+
+
+def leaves(value, path: str = "") -> Iterator[Tuple[str, object]]:
+    """``(key path, value)`` of every leaf of a parsed JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def moved_values(old, new) -> List[str]:
+    """``path: old -> new`` for each leaf whose ``repr`` differs, or that
+    only one side has, in the order the leaves appear."""
+    before, after = dict(leaves(old)), dict(leaves(new))
+    lines = []
+    for path in [*before, *(p for p in after if p not in before)]:
+        a, b = (repr(side[path]) if path in side else "absent" for side in (before, after))
+        if a != b:
+            lines.append(f"{path}: {a} -> {b}")
+    return lines
+
+
 def run(tree: Path, argv: List[str], cwd: Path) -> Dict[str, object]:
     """Run one invocation of ``tree``'s CLI in the fresh directory ``cwd``;
-    return its exit code and the sha256 of its streams and of every file it
-    left in ``cwd``, by name relative to ``cwd``."""
+    return its exit code, the sha256 of its streams and of every file it
+    left in ``cwd``, by name relative to ``cwd``, and the :func:`parsed`
+    stdout and JSON files, by the same names."""
     cwd.mkdir(parents=True)
     for name, text in INPUT_FILES.items():
         (cwd / name).write_text(text, encoding="utf-8")
@@ -102,7 +139,9 @@ def run(tree: Path, argv: List[str], cwd: Path) -> Dict[str, object]:
     }
     digests["<stdout>"] = hashlib.sha256(proc.stdout).hexdigest()
     digests["<stderr>"] = hashlib.sha256(proc.stderr).hexdigest()
-    return {"exit": proc.returncode, "digests": digests}
+    values = {name: parsed((cwd / name).read_bytes()) for name in digests if name.endswith(".json")}
+    values["<stdout>"] = parsed(proc.stdout)
+    return {"exit": proc.returncode, "digests": digests, "values": values}
 
 
 def main(argv=None) -> int:
@@ -130,8 +169,14 @@ def main(argv=None) -> int:
             print(f"[{'same' if same else 'DIFF'}] {' '.join(invocation)}: "
                   f"exit {old['exit']} -> {new['exit']}")
             for name in moved:
-                before, after = (side["digests"].get(name, "absent")[:12] for side in (old, new))
-                print(f"    {name}: {before} -> {after}")
+                both = name in old["values"] and name in new["values"]
+                lines = moved_values(old["values"][name], new["values"][name]) if both else []
+                if not lines:
+                    # a file only one tree wrote, or that differs in bytes only
+                    before, after = (side["digests"].get(name, "absent")[:12] for side in (old, new))
+                    lines = [f"sha256 {before} -> {after}"]
+                for line in lines:
+                    print(f"    {name} {line}")
     print(f"{differences} of {len(INVOCATIONS)} invocations differ from {args.parent}")
     return 1 if differences else 0
 
