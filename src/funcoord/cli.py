@@ -373,7 +373,9 @@ def _suite_riccati(config: RunConfig, tol: dict, grid: Grid) -> List[Verificatio
     y2 = COEFFICIENTS["y^2"]
     kernel = riccati_kernel(1.0, y2.fn, COEFFICIENTS["y"].fn, grid)
     if "csv" in config.formats:
-        _write_table(Path(config.out) / "riccati_table.csv", ("x", "y", "w"), *kernel.table)
+        x = grid.nodes
+        _write_table(Path(config.out) / "riccati_table.csv", ("x", "y", "w"), x, x,
+                     kernel.eval(x[:, None], x[None, :]))
     residual = kernel_pde_residual(kernel, 2, 0, 1.0, y2.fn, grid)
     return [
         VerificationReport.build(
@@ -446,7 +448,11 @@ def _grids(config: RunConfig, name: str) -> List[Grid]:
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.write_text(text, encoding="utf-8")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _write_table(path: Path, names: Sequence[str], x, y, values) -> None:

@@ -309,13 +309,8 @@ def differentiate(f: GeneralizedFunction) -> GeneralizedFunction:
     annotations drop one order, and every singular term's order increases
     by one.
     """
-    new_singular = []
-    for t in f.singular:
-        if t.q + 1 > DEFAULT_ORDER_CAP:
-            raise UnsupportedOrderError(
-                f"differentiation would exceed delta-order cap {DEFAULT_ORDER_CAP}"
-            )
-        new_singular.append(SingularTerm(t.x0, t.q + 1, t.a))
+    # a term raised past DEFAULT_ORDER_CAP fails in the result's canonical form
+    new_singular = [SingularTerm(t.x0, t.q + 1, t.a) for t in f.singular]
 
     new_smooth = None
     new_jumps = []

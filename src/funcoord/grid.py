@@ -138,13 +138,13 @@ def csv_blocks(names: Sequence[str], x, y, values) -> Iterator[str]:
     coordinate is formatted once, and the values fill a row template
     with one ``%`` call per text."""
     values = np.asarray(values)
-    is_complex = np.iscomplexobj(values)
-    cell = "%.17g,%.17g" if is_complex else "%.17g"
+    complex_values = np.iscomplexobj(values)
+    cell = "%.17g,%.17g" if complex_values else "%.17g"
     xs = ["%.17g" % v for v in np.asarray(x).tolist()]
     if values.shape != (len(xs),) + (() if y is None else (len(y),)):
         raise DomainError(f"values of shape {values.shape} do not match the coordinates")
-    yield ",".join([*names[:-1], *(("re", "im") if is_complex else names[-1:])]) + "\n"
-    if is_complex:
+    yield ",".join([*names[:-1], *(("re", "im") if complex_values else names[-1:])]) + "\n"
+    if complex_values:
         # each row as re, im pairs, a view of contiguous input
         values = np.ascontiguousarray(values).view(values.real.dtype)
     if y is None:

@@ -127,8 +127,8 @@ class Kernel:
     partials ``(x, y, q) -> d^q w``: each answers every order ``q >= 1`` it
     is asked for, or raises :class:`UnsupportedOrderError`. A missing
     callable means centered finite differences of ``eval`` at every order
-    along that axis. :func:`kernel_table` tabulates the kernel
-    with quadrature weights absorbed and checks the table is finite.
+    along that axis. :func:`kernel_table` tabulates the kernel in the dtype
+    of its values, with quadrature weights absorbed, and checks it is finite.
 
     ``profile_n(t, q)`` marks a translation kernel ``f(x - y)``: it is the
     ``q``-th derivative of ``f``, from which values and partials derive and
@@ -143,13 +143,11 @@ class Kernel:
 
     id: str
     eval: Optional[Callable] = None
-    is_complex: bool = False
     dx_n: Optional[Callable] = None
     dy_n: Optional[Callable] = None
     factor: Optional[Callable] = None
     profile_n: Optional[Callable] = None
     frequency_columns: bool = False
-    table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- partial derivatives -------------------------------------------------
 
@@ -238,7 +236,6 @@ def fourier() -> Kernel:
     return Kernel(
         id="fourier",
         eval=w,
-        is_complex=True,
         dx_n=lambda x, y, q: (1j * np.asarray(y)) ** q * w(x, y),
         dy_n=lambda x, y, q: (1j * np.asarray(x)) ** q * w(x, y),
         frequency_columns=True,
@@ -397,7 +394,9 @@ def kernel_table(kernel: Kernel, x_rows: np.ndarray, grid: Grid, dx_order: int =
         table = _circulant(entries(x_rows[:, None], cols[None, :1])[:, 0] * grid.weights[0])
         _require_finite(kernel.id, table, x_rows, cols)
         return table
-    table = np.empty((len(x_rows), len(cols)), complex if kernel.is_complex else float)
+    # entries at no point give the dtype (complex or float) and evaluate none
+    dtype = np.result_type(entries(x_rows[:0, None], cols[None, :0]), float)
+    table = np.empty((len(x_rows), len(cols)), dtype)
     for r0, r1 in _row_blocks(len(x_rows), len(cols)):
         np.multiply(entries(x_rows[r0:r1, None], cols[None, :]), grid.weights, out=table[r0:r1])
         _require_finite(kernel.id, table[r0:r1], x_rows[r0:r1], cols)
@@ -517,8 +516,7 @@ def apply(
         return np.asarray(kernel.factor(grid.nodes), dtype=float) * smooth
 
     x = grid.nodes if out_nodes is None else np.asarray(out_nodes, dtype=float)
-    dtype = complex if kernel.is_complex else float
-    result = np.zeros(x.shape, dtype=dtype)
+    result = np.zeros(x.shape, np.result_type(kernel.eval(x[:0], x[:0]), float))
 
     if f.smooth is not None:
         result = result + kernel_table(kernel, x, grid) @ f.smooth_remainder()
@@ -788,13 +786,12 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
         out = values[i, j]
         return out if out.shape else float(out)
 
-    return Kernel(id="riccati", eval=w, table=(x, y, values))
+    return Kernel(id="riccati", eval=w)
 
 
-def table_csv(kernel: Kernel) -> str:
-    """CSV text of a tabulated kernel as ``x,y,w`` triples (17 significant
-    digits), from :func:`funcoord.grid.csv_blocks`. Raises
-    :class:`DomainError` for kernels without a table."""
-    if kernel.table is None:
-        raise DomainError(f"kernel {kernel.id!r} carries no tabulation")
-    return "".join(csv_blocks(("x", "y", "w"), *kernel.table))
+def table_csv(kernel: Kernel, grid: Grid) -> str:
+    """CSV text of the kernel's values on ``grid.nodes x column_nodes(kernel, grid)``
+    as ``x,y,w`` triples (``re,im`` pairs if complex) from :func:`funcoord.grid.csv_blocks`;
+    a diagonal kernel has no pointwise values and raises :class:`DomainError`."""
+    x, y = grid.nodes, column_nodes(kernel, grid)
+    return "".join(csv_blocks(("x", "y", "w"), x, y, kernel.partial_x(x[:, None], y[None, :], 0)))

@@ -22,9 +22,11 @@ from funcoord import (
     residual_blocks,
     riccati_kernel,
 )
-from funcoord.cli import COEFFICIENTS, INPUTS, SUITES, _write_table, _written_rows, main
+from funcoord.cli import (
+    COEFFICIENTS, INPUTS, SUITES, _write_table, _write_text, _written_rows, main,
+)
 from funcoord.grid import csv_blocks
-from funcoord.kernels import _max_norm, _truncated_svd
+from funcoord.kernels import _max_norm, _truncated_svd, table_csv
 
 
 def run(argv):
@@ -430,16 +432,21 @@ def test_transform_inverse_csv_reads_back_bit_exactly(tmp_path):
 
 
 def test_riccati_table_csv_reads_back_bit_exactly(tmp_path, monkeypatch):
+    x = make_uniform_grid(0.0, 1.0, 16).nodes
+
     def fake_riccati(a, b, g0, grid):
-        # a zero kernel passes the suite; its table holds the special values
-        zero = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-        return Kernel(id="riccati", eval=zero, table=(grid.nodes, grid.nodes[::-1], table))
+        # its values on the node grid are the special values
+        def values(xv, yv):
+            assert np.array_equal(xv, x[:, None]) and np.array_equal(yv, x[None, :])
+            return table
+        return Kernel(id="riccati", eval=values)
 
     table = specials((16, 16))
     monkeypatch.setattr("funcoord.cli.riccati_kernel", fake_riccati)
+    # the residual would reject the non-finite values; the table is under test
+    monkeypatch.setattr("funcoord.cli.kernel_pde_residual", lambda *args, **kwargs: 0.0)
     assert run(["verify", "--suite", "riccati", "--n", "16", "--out", str(tmp_path)]) == 0
-    x = make_uniform_grid(0.0, 1.0, 16).nodes
-    columns = table_columns(x, x[::-1], table)
+    columns = table_columns(x, x, table)
     assert_reads_back(tmp_path / "riccati_table.csv", ["x", "y", "w"], *columns)
 
 
@@ -483,6 +490,17 @@ def test_table_writer_leaves_no_file_and_no_child_when_a_child_fails(tmp_path, m
     assert "formatting failed in a child" in capfd.readouterr().err
 
 
+def test_text_writer_leaves_no_file_when_the_write_fails(tmp_path):
+    # a lone surrogate has no UTF-8 encoding: the write fails after the
+    # file is opened
+    path = tmp_path / "suite_demo.json"
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(path, "ok\ud800")
+    assert os.listdir(tmp_path) == []
+    _write_text(path, "ok\n")
+    assert path.read_text(encoding="utf-8") == "ok\n"
+
+
 def test_verify_riccati_at_n512_prints_once_and_writes_the_joined_table(tmp_path):
     # block-buffered stdout holds the xdx suite's line while the riccati
     # table is written, with two or more CPUs by forked processes too, and
@@ -505,7 +523,7 @@ def test_verify_riccati_at_n512_prints_once_and_writes_the_joined_table(tmp_path
     ]
     grid = make_uniform_grid(0.0, 1.0, 512)
     kernel = riccati_kernel(1.0, COEFFICIENTS["y^2"].fn, COEFFICIENTS["y"].fn, grid)
-    expected = "".join(csv_blocks(("x", "y", "w"), *kernel.table)).encode()
+    expected = table_csv(kernel, grid).encode()
     digest = hashlib.sha256((out / "riccati_table.csv").read_bytes()).hexdigest()
     assert digest == hashlib.sha256(expected).hexdigest()
 

@@ -33,7 +33,7 @@ from funcoord import (
     translation_tgauss,
 )
 from funcoord.cli import KERNELS
-from funcoord.grid import OperatorMatrix, _fd_rows
+from funcoord.grid import OperatorMatrix, _fd_rows, csv_blocks
 from funcoord.kernels import (
     _fd_radius,
     _gaussian_sketch,
@@ -569,7 +569,7 @@ def test_riccati_reproduces_separable_exponential():
     g = make_uniform_grid(0.0, 1.0, 64, periodic=False)
     y2 = lambda y: np.asarray(y) ** 2
     k = riccati_kernel(1.0, y2, lambda y: np.asarray(y), g)
-    table = k.table[2]
+    table = k.eval(g.nodes[:, None], g.nodes[None, :])
     assert np.max(np.abs(table - np.exp(np.outer(g.nodes, g.nodes)))) < 1e-12
     norm = kernel_pde_residual(k, 2, 0, 1.0, y2, g, db=[lambda y: 2 * np.asarray(y)])
     assert norm < 1e-6
@@ -578,8 +578,11 @@ def test_riccati_reproduces_separable_exponential():
 def test_riccati_answers_the_full_node_grid_with_its_table():
     g = make_uniform_grid(0.0, 1.0, 16, periodic=False)
     k = riccati_kernel(1.0, lambda y: np.asarray(y) ** 2, lambda y: np.asarray(y), g)
-    x, y, table = k.table
+    x = y = g.nodes
+    table = k.eval(x[:, None], y[None, :])
+    # every full-grid call returns the one stored table, not a copy of it
     assert k.eval(x[:, None], y[None, :]) is table
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 2.0
     # any other on-node call is answered by lookup into the same table
@@ -590,7 +593,7 @@ def test_riccati_answers_the_full_node_grid_with_its_table():
 def test_riccati_zero_data_gives_unit_kernel():
     g = make_uniform_grid(0.0, 1.0, 16, periodic=False)
     k = riccati_kernel(1.0, 0.0, 0.0, g)
-    assert np.max(np.abs(k.table[2] - 1.0)) < 1e-14
+    assert np.max(np.abs(k.eval(g.nodes[:, None], g.nodes[None, :]) - 1.0)) < 1e-14
 
 
 def test_riccati_fixed_point_gives_plain_exponential():
@@ -605,7 +608,8 @@ def test_riccati_table_is_fourth_order_where_the_slope_varies():
     # varies in x, so f = log w shows the integrator's own order
     def error(n):
         g = make_uniform_grid(0.0, 1.0, n, periodic=False)
-        table = riccati_kernel(1.0, lambda y: np.asarray(y) ** 2, 0.0, g).table[2]
+        table = riccati_kernel(1.0, lambda y: np.asarray(y) ** 2, 0.0, g).eval(
+            g.nodes[:, None], g.nodes[None, :])
         exact = np.cosh(np.outer(g.nodes, g.nodes))
         return np.max(np.abs(table - exact) / exact)
 
@@ -631,7 +635,8 @@ def test_riccati_rejects_vanishing_coefficient():
 def test_riccati_is_evaluated_on_its_nodes_only():
     g = make_uniform_grid(0.0, 1.0, 32, periodic=False)
     k = riccati_kernel(1.0, lambda y: np.asarray(y) ** 2, lambda y: np.asarray(y), g)
-    x, y, table = k.table
+    x = y = g.nodes
+    table = k.eval(x[:, None], y[None, :])
     # scattered node pairs are looked up in the table exactly
     i, j = np.array([0, 31, 7, 7, 20]), np.array([5, 0, 31, 7, 13])
     assert np.array_equal(k.eval(x[i], y[j]), table[i, j])
@@ -648,14 +653,28 @@ def test_tabulated_kernel_exports_csv_triples():
 
     g = make_uniform_grid(0.0, 1.0, 8, periodic=False)
     k = riccati_kernel(1.0, 0.0, 0.0, g)
-    text = table_csv(k)
+    text = table_csv(k, g)
     lines = text.strip().splitlines()
     assert lines[0] == "x,y,w"
     assert len(lines) == 1 + 8 * 8
     x, y, w = (float(v) for v in lines[1].split(","))
     assert (x, y, w) == (0.0, 0.0, 1.0)
+    # any pointwise kernel: its values on the nodes by the column nodes
+    values = gaussian().eval(g.nodes[:, None], g.nodes[None, :])
+    assert table_csv(gaussian(), g) == "".join(csv_blocks(("x", "y", "w"), g.nodes, g.nodes, values))
     with pytest.raises(DomainError):
-        table_csv(gaussian())
+        table_csv(dilation(2.0), g)
+
+
+def test_complex_kernel_declaring_only_its_values_discretizes_complex():
+    # no declared dtype: the values' own dtype makes the table complex
+    g = make_uniform_grid(-1.0, 1.0, 16, periodic=False)
+    osc = Kernel(id="osc", eval=lambda x, y: np.exp(1j * np.asarray(x) * np.asarray(y)))
+    entries = discretize(osc, g).entries
+    assert entries.dtype == complex
+    assert np.array_equal(entries, np.exp(1j * np.outer(g.nodes, g.nodes)) * g.weights)
+    image = apply(osc, GeneralizedFunction(g, smooth=np.cos(g.nodes)))
+    assert np.array_equal(image, entries @ np.cos(g.nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from funcoord import (
     theorem_property_suite,
 )
 from funcoord import theorems as theorems_module
-from funcoord.grid import OperatorMatrix
+from funcoord.grid import OperatorMatrix, derivative
 from funcoord.kernels import _translation
 from funcoord.theorems import VerificationReport, ramp_instance, step_instance
 
@@ -83,21 +83,29 @@ def test_fourier_diagonalizes_second_order():
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("n", [16, 32, 33, 64])
 def test_fourier_closed_form_conjugate_matches_the_svd_conjugate(monkeypatch, n, order):
-    # the dense reference: diff_matrix conjugated through the truncated SVD
-    scored = []
-    monkeypatch.setattr(theorems_module, "locality_score",
-                        lambda A, bw: scored.append(A) or locality_score(A, bw))
+    # the dense reference: diff_matrix conjugated through the truncated SVD,
+    # formed and scored, where the check scores it in closed form
     grid = fourier_grid(n)
+    W = discretize(fourier(), grid)
     report = check_fourier_diagonalizes(grid, order=order)
-    reference = conjugate(diff_matrix(grid, order), discretize(fourier(), grid))
-    (closed,) = scored
-    assert np.max(np.abs(closed.entries - reference.entries)) <= 1e-12 * np.max(
-        np.abs(reference.entries)
-    )
+    reference = conjugate(diff_matrix(grid, order), W)
+    want_defect = max(0.0, 1.0 - locality_score(reference, 0))
+    assert abs(report.residuals["offband_defect_bw0"] - want_defect) <= 1e-12
     got, want = report.condition, reference.condition
     assert abs(got.sigma_max - want.sigma_max) <= 1e-12 * want.sigma_max
     assert abs(got.sigma_min - want.sigma_min) <= 1e-12 * want.sigma_max
     assert (got.truncated, got.rank) == (want.truncated, want.rank) == (0, n)
+    assert not hasattr(theorems_module, "OperatorMatrix")
+    # the derivative's defect is 0 up to rounding, where a score that is too
+    # high reads 0 as well: a random operator added to it gives a defect
+    # well inside (0, 1)
+    d = diff_matrix(grid, order).entries
+    extra = np.random.default_rng(n).standard_normal((n, n)) * np.max(np.abs(d))
+    monkeypatch.setattr(theorems_module, "derivative", lambda g, f, q: derivative(g, f, q) + extra @ f)
+    perturbed = check_fourier_diagonalizes(grid, order=order).residuals["offband_defect_bw0"]
+    want_defect = 1.0 - locality_score(conjugate(OperatorMatrix(d + extra, grid), W), 0)
+    assert 0.01 < want_defect < 0.99
+    assert abs(perturbed - want_defect) <= 1e-12
 
 
 def test_fourier_requires_matched_grid():
