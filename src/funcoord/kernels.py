@@ -790,8 +790,8 @@ def riccati_kernel(a: Callable, b: Callable, g0: Callable, grid: Grid) -> Kernel
 
 
 def table_csv(kernel: Kernel, grid: Grid) -> str:
-    """CSV text of the kernel's values on ``grid.nodes x column_nodes(kernel, grid)``
-    as ``x,y,w`` triples (``re,im`` pairs if complex) from :func:`funcoord.grid.csv_blocks`;
-    a diagonal kernel has no pointwise values and raises :class:`DomainError`."""
-    x, y = grid.nodes, column_nodes(kernel, grid)
-    return "".join(csv_blocks(("x", "y", "w"), x, y, kernel.partial_x(x[:, None], y[None, :], 0)))
+    """CSV text of the kernel's values on ``grid.nodes x grid.nodes`` as ``x,y,w``
+    triples, from :func:`funcoord.grid.csv_blocks`, as ``verify`` writes the
+    riccati table; a diagonal kernel raises :class:`DomainError`."""
+    x = grid.nodes
+    return "".join(csv_blocks(("x", "y", "w"), x, x, kernel.partial_x(x[:, None], x[None, :], 0)))

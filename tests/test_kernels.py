@@ -659,7 +659,7 @@ def test_tabulated_kernel_exports_csv_triples():
     assert len(lines) == 1 + 8 * 8
     x, y, w = (float(v) for v in lines[1].split(","))
     assert (x, y, w) == (0.0, 0.0, 1.0)
-    # any pointwise kernel: its values on the nodes by the column nodes
+    # any pointwise kernel: its values on the nodes by the nodes
     values = gaussian().eval(g.nodes[:, None], g.nodes[None, :])
     assert table_csv(gaussian(), g) == "".join(csv_blocks(("x", "y", "w"), g.nodes, g.nodes, values))
     with pytest.raises(DomainError):

@@ -1,12 +1,12 @@
 """Mutation sweep: run the verify suites on copies of the source that each
 carry one known fault, and print which suites catch it.
 
-    python3 tools/mutants.py [--rev REV]
+    python3 tools/mutants.py
 
-The tree at ``REV`` (default ``HEAD``) is exported with
-``compare_outputs.export``. Each mutant is a list of exact text patches
-``(file, old, new)`` under ``src/funcoord``; the old text must occur exactly
-once in its file, or the sweep stops. The unmutated export runs first as a
+The tree at ``HEAD`` is exported with ``compare_outputs.export``. Each
+mutant is a list of exact text patches ``(file, old, new)`` under
+``src/funcoord``; the old text must occur exactly once in its file, or the
+sweep stops. The unmutated export runs first as a
 control and must pass every suite of every command in ``COMMANDS``. Each
 mutant then runs those commands on its own patched copy, and the script
 prints the suites that failed under it, or that it SURVIVES when every
@@ -16,7 +16,6 @@ survives and 2 when the export, a patch or the control fails.
 
 from __future__ import annotations
 
-import argparse
 import shutil
 import subprocess
 import sys
@@ -94,16 +93,13 @@ def verified(tree: Path, cwd: Path) -> Tuple[bool, List[str]]:
     return passed, lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rev", default="HEAD", help="git revision to mutate")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="funcoord-mutants-") as tmp:
         source, runs = Path(tmp) / "export", Path(tmp) / "runs"
         try:
-            export(args.rev, source)
+            export("HEAD", source)
         except subprocess.CalledProcessError as exc:
-            print(f"error: cannot export {args.rev!r}: {exc.stderr.decode().strip()}",
+            print(f"error: cannot export HEAD: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
         trees = {}
