@@ -33,6 +33,7 @@ import json
 import os
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -42,7 +43,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .distributions import GeneralizedFunction
-from .errors import FuncoordError
+from .errors import DomainError, FuncoordError
 from .grid import _ROW_BLOCK, Grid, csv_blocks, csv_text, make_uniform_grid
 from .kernels import (
     Kernel,
@@ -230,18 +231,15 @@ class RunConfig:
                     f"tolerance override {key!r} names no suite that takes overrides; "
                     "use '<suite>.<residual>' (the theorem suite takes none)"
                 )
-            if residual not in declared:
-                raise ConfigError(
-                    f"tolerance override {key!r} names no residual of suite {suite!r}; "
-                    f"it reports {sorted(declared)}"
-                )
             if suite not in self.suites:
                 raise ConfigError(
                     f"tolerance override {key!r} is for suite {suite!r}, which this run "
                     f"does not select; it runs {self.suites}"
                 )
-            if not value > 0:
-                raise ConfigError(f"tolerance override {key!r} must be positive")
+            try:  # the suite's own check of its overrides, run before any suite
+                _tolerances(declared, {residual: value})
+            except DomainError as exc:
+                raise ConfigError(f"tolerance override {key!r}: {exc}") from exc
         if not self.formats:
             raise ConfigError("no output format given; choose csv, json or both")
         for fmt in self.formats:
@@ -341,11 +339,10 @@ def _suite_theorem(config: RunConfig, tol: dict, grid: Grid) -> List[Verificatio
 
 def _suite_product(config: RunConfig, tol: dict, grid: Grid) -> List[VerificationReport]:
     x2p1 = lambda t: np.asarray(t, dtype=float) ** 2 + 1.0
-    ident = lambda t: np.asarray(t, dtype=float)
     return [
         check_product_preservation(1.0, gaussian(), grid, config.threshold, tol),
-        check_product_preservation(ident, multiplication(x2p1), grid, config.threshold, tol),
-        check_product_preservation(ident, gaussian(), grid, config.threshold, tol),
+        check_product_preservation(_ident, multiplication(x2p1), grid, config.threshold, tol),
+        check_product_preservation(_ident, gaussian(), grid, config.threshold, tol),
     ]
 
 
@@ -446,13 +443,22 @@ def _grids(config: RunConfig, name: str) -> List[Grid]:
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path: Path, text: str) -> None:
+@contextmanager
+def _created(path: Path) -> Iterator:
+    """``path``, its directory made, open for text; a failure inside, an
+    interrupt or an unfinished generator too, removes the file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            yield fh
     except BaseException:
         path.unlink(missing_ok=True)
         raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _created(path) as fh:
+        fh.write(text)
 
 
 def _write_table(path: Path, names: Sequence[str], x, y, values) -> None:
@@ -463,23 +469,22 @@ def _write_table(path: Path, names: Sequence[str], x, y, values) -> None:
     ranges = max(1, min(cpus, len(x) // -(-_ROW_BLOCK // max(1, len(y)))))
     rows = [slice(len(x) * k // ranges, len(x) * (k + 1) // ranges) for k in range(ranges)]
     parts = [path.with_name(f".{path.name}.part{k}") for k in range(1, ranges)]
-    path.parent.mkdir(parents=True, exist_ok=True)
     children = []
     try:
-        for part, r in zip(parts, rows[1:]):
-            if not (pid := os.fork()):
-                try:  # the child leaves through _exit only: no unwinding, no flush
-                    with part.open("w", encoding="utf-8") as fh:
-                        fh.writelines(islice(csv_blocks(names, x[r], y, values[r]), 1, None))
-                    os._exit(0)
-                except BaseException:
-                    import traceback  # the cause goes to fd 2, past sys.stderr's buffer
+        with _created(path) as fh:
+            for part, r in zip(parts, rows[1:]):
+                if not (pid := os.fork()):
+                    try:  # the child leaves through _exit only: no unwinding, no flush
+                        with part.open("w", encoding="utf-8") as out:
+                            out.writelines(islice(csv_blocks(names, x[r], y, values[r]), 1, None))
+                        os._exit(0)
+                    except BaseException:
+                        import traceback  # the cause goes to fd 2, past sys.stderr's buffer
 
-                    os.write(2, traceback.format_exc().encode())
-                finally:
-                    os._exit(1)
-            children.append(pid)
-        with path.open("w", encoding="utf-8") as fh:
+                        os.write(2, traceback.format_exc().encode())
+                    finally:
+                        os._exit(1)
+                children.append(pid)
             fh.writelines(csv_blocks(names, x[rows[0]], y, values[rows[0]]))
             fh.flush()
             for part, pid in zip(parts, children):
@@ -487,9 +492,6 @@ def _write_table(path: Path, names: Sequence[str], x, y, values) -> None:
                     raise OSError(f"a process writing rows of {path} failed")
                 with part.open("rb") as src:
                     shutil.copyfileobj(src, fh.buffer)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
     finally:
         for pid in children:
             os.waitpid(pid, 0)
@@ -499,17 +501,12 @@ def _write_table(path: Path, names: Sequence[str], x, y, values) -> None:
 
 def _written_rows(path: Path, blocks, y: np.ndarray) -> Iterator:
     """Pass on the residual's ``(x, R)`` row blocks, each once its rows are
-    written to the CSV file ``path``; a failing block removes the file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with path.open("w", encoding="utf-8") as fh:
-            for k, (x, r) in enumerate(blocks):
-                # the header goes before the first block only
-                fh.writelines(islice(csv_blocks(("x", "y", "R"), x, y, r), k > 0, None))
-                yield x, r
-    except Exception:
-        path.unlink(missing_ok=True)
-        raise
+    written to the CSV file ``path``; a failed or unfinished stream removes it."""
+    with _created(path) as fh:
+        for k, (x, r) in enumerate(blocks):
+            # the header goes before the first block only
+            fh.writelines(islice(csv_blocks(("x", "y", "R"), x, y, r), k > 0, None))
+            yield x, r
 
 
 def _dump_json(doc) -> str:

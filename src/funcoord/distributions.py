@@ -61,10 +61,9 @@ class SingularTerm:
             raise DomainError(f"derivative order must be >= 0, got {self.q}")
 
 
-def _step(t, at_zero=0.5):
+def _step(t):
     """Unit step samples with midpoint value at an exact node hit."""
-    out = np.where(t > 0, 1.0, 0.0)
-    return np.where(t == 0, at_zero, out)
+    return np.where(t > 0, 1.0, np.where(t == 0, 0.5, 0.0))
 
 
 def _ramp(t, order: int):
@@ -139,21 +138,12 @@ class GeneralizedFunction:
     def max_order(self) -> int:
         return max((t.q for t in self.singular), default=0)
 
-    def declared_structure(self, nodes) -> np.ndarray:
-        """Samples of the declared step/ramp structure at ``nodes``."""
-        nodes = np.asarray(nodes, dtype=float)
-        out = np.zeros_like(nodes)
-        for x0, order, height in self.jumps:
-            out += height * _ramp(nodes - x0, order)
-        return out
-
     def smooth_remainder(self) -> Optional[np.ndarray]:
-        """Smooth part minus declared structure — continuous by contract."""
-        if self.smooth is None:
-            return None
-        if not self.jumps:
+        """Smooth part minus its declared step/ramp structure — continuous by contract."""
+        if self.smooth is None or not self.jumps:
             return self.smooth
-        return self.smooth - self.declared_structure(self.grid.nodes)
+        x = self.grid.nodes
+        return self.smooth - sum(h * _ramp(x - x0, order) for x0, order, h in self.jumps)
 
     # -- linear-space operations -------------------------------------------
 
@@ -184,34 +174,14 @@ class GeneralizedFunction:
     def __sub__(self, other: "GeneralizedFunction") -> "GeneralizedFunction":
         return self + other.scaled(-1.0)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        """JSON form: {"smooth": [...], "jumps": [[x0,h] | [x0,q,h]], ...}.
-
-        Order-0 jumps serialize as pairs, higher orders as triples.
-        """
-        doc = {
-            "smooth": None if self.smooth is None else [float(v) for v in self.smooth],
-            "jumps": [
-                [x0, h] if order == 0 else [x0, order, h]
-                for x0, order, h in self.jumps
-            ],
-            "singular": [[t.x0, t.q, t.a] for t in self.singular],
-            "grid": {
-                "lo": self.grid.lo,
-                "hi": self.grid.hi,
-                "n": self.grid.n,
-                "periodic": self.grid.periodic,
-            },
-        }
-        return json.dumps(doc, sort_keys=True)
+    # -- JSON input ---------------------------------------------------------
 
     @classmethod
     def from_json(cls, text: str) -> "GeneralizedFunction":
-        """Read :meth:`to_json` output strictly: ``grid.periodic`` must be a
-        boolean, ``grid.n`` and every order an integer, and every number
-        finite, or :class:`DomainError` names the field or number."""
+        """Read ``{"grid": {"lo", "hi", "n", "periodic"}, "smooth": [...], "jumps":
+        [[x0, h] | [x0, q, h], ...], "singular": [[x0, q, a], ...]}`` strictly, only
+        ``grid`` required: ``grid.periodic`` must be a boolean, ``grid.n`` and every order
+        an integer, and every number finite, or :class:`DomainError` names the field or number."""
         doc = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
         g = doc["grid"]
         singular = [tuple(t) for t in doc.get("singular", [])]

@@ -52,12 +52,13 @@ from .kernels import (
     Kernel,
     _as_coefficient,
     _translation,
-    _truncated_svd,
     apply,
     column_nodes,
     discretize,
     exp_exp,
+    fourier,
     gaussian,
+    invert,
     kernel_pde_residual,
     kernel_table,
 )
@@ -136,7 +137,9 @@ def _tolerances(defaults: dict, overrides: Optional[Mapping[str, float]]) -> dic
         return dict(defaults)
     unknown = set(overrides) - set(defaults)
     if unknown:
-        raise DomainError(f"unknown tolerance keys: {sorted(unknown)}")
+        raise DomainError(
+            f"unknown tolerance keys {sorted(unknown)}; the check reports {sorted(defaults)}"
+        )
     merged = dict(defaults)
     for key, value in overrides.items():
         if not value > 0:
@@ -173,9 +176,7 @@ def check_fourier_diagonalizes(
     if order != 1:
         defaults["intertwine_max"] = 1.0e-7
     tol = _tolerances(defaults, tolerances)
-    from .kernels import fourier as fourier_kernel
-
-    W = discretize(fourier_kernel(), grid).entries
+    W = discretize(fourier(), grid).entries
     AW = derivative(grid, W, order)
     # W B with B = diag(symbol) is W with its columns scaled
     intertwine = float(np.max(np.abs(AW - W * derivative_symbol(grid, order))))
@@ -381,7 +382,7 @@ def smooth_from_generalized(
     )
 
 
-def step_instance(quad_grid: Optional[Grid] = None):
+def step_instance():
     """Canonical first-order instance: d/dx of the unit step is the delta.
 
     The step's smooth samples carry the declared value jump at 0 (with the
@@ -389,7 +390,7 @@ def step_instance(quad_grid: Optional[Grid] = None):
     identically zero and the transform of the step is in closed form.
     Returns ``(L, u, v)``.
     """
-    quad_grid = quad_grid or make_uniform_grid(-6.0, 6.0, 64, periodic=False)
+    quad_grid = make_uniform_grid(-6.0, 6.0, 64, periodic=False)
     x = quad_grid.nodes
     smooth = np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
     u = GeneralizedFunction(quad_grid, smooth=smooth, jumps=[(0.0, 1.0)])
@@ -397,13 +398,13 @@ def step_instance(quad_grid: Optional[Grid] = None):
     return [(1, 1.0)], u, v
 
 
-def ramp_instance(quad_grid: Optional[Grid] = None):
+def ramp_instance():
     """Canonical second-order instance: d^2/dx^2 of ``|x|/2`` is the delta.
 
     ``|x|/2`` is declared as a slope jump of height 1 at 0; the remainder
     ``-x/2`` is linear. Returns ``(L, u, v)``.
     """
-    quad_grid = quad_grid or make_uniform_grid(-6.0, 6.0, 64, periodic=False)
+    quad_grid = make_uniform_grid(-6.0, 6.0, 64, periodic=False)
     x = quad_grid.nodes
     u = GeneralizedFunction(
         quad_grid, smooth=np.abs(x) / 2.0, jumps=[(0.0, 1, 1.0)]
@@ -528,7 +529,6 @@ def check_product_preservation(
             "trivial case: conjugate equals the candidate diagonal verified by "
             "the intertwining residual; no inversion performed"
         )
-        notes.append(f"locality score bw0 = {score0:.15f}, bw2 = {score2:.15f}")
         residuals = {
             "aomega_residual": residual,
             "score_defect_bw0": max(0.0, 1.0 - score0),
@@ -542,11 +542,11 @@ def check_product_preservation(
             "non-trivial case: explicit regularized conjugation; locality "
             "leaks across the whole matrix"
         )
-        notes.append(f"locality score bw0 = {score0:.15f}, bw2 = {score2:.15f}")
         residuals = {}
         if kernel.id == "gaussian":
             residuals["score_bw2"] = score2
         condition = conj.condition
+    notes.append(f"locality score bw0 = {score0:.15f}, bw2 = {score2:.15f}")
 
     variant = "const_a" if constant_a else "var_a"
     return VerificationReport.build(
@@ -655,10 +655,9 @@ def check_nonlinear_tensor(
     right = np.sin(k * grid.nodes) + 2.0
     rank1 = np.outer(left, right)
     W = discretize(kernel, grid)
-    u, s, vh, condition = _truncated_svd(W.entries, threshold)
+    inverse, condition = invert(W, threshold)
     if condition.truncated == 0 and condition.sigma_max <= 1.0e6 * condition.sigma_min:
-        # the regularized inverse, formed only where it is used
-        mover = (vh.conj().T / s) @ u.conj().T
+        mover = inverse.entries
         rank1_note = "rank-1 check conjugated by the kernel transform itself"
     else:
         shifted = condition.sigma_max * np.eye(grid.n) + W.entries

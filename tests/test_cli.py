@@ -102,9 +102,11 @@ def test_verify_exit_one_on_suite_failure(tmp_path):
 
 def test_verify_rejects_negative_tolerance_override(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"tolerances": {"fourier.intertwine_max": -1.0}}))
-    assert run(["verify", "--suite", "fourier", "--config", str(config),
-                "--out", str(tmp_path / "x")]) == 2
+    for value in (-1.0, 0):
+        config.write_text(json.dumps({"tolerances": {"fourier.intertwine_max": value}}))
+        assert run(["verify", "--suite", "fourier", "--config", str(config),
+                    "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_verify_is_deterministic(tmp_path):
@@ -301,6 +303,32 @@ def test_streamed_residual_csv_is_removed_when_a_block_fails(tmp_path):
     with pytest.raises(KernelEvaluationError):
         _max_norm(rows)
     assert not path.exists()
+
+
+def interrupted_after_one_block(g):
+    yield g.nodes[:4], np.ones((4, g.n))
+    raise KeyboardInterrupt
+
+
+def test_streamed_residual_csv_is_removed_when_interrupted(tmp_path):
+    g = make_uniform_grid(0.0, 1.0, 16)
+    path = tmp_path / "residual.csv"
+    rows = _written_rows(path, interrupted_after_one_block(g), g.nodes)
+    next(rows)
+    assert path.exists()
+    with pytest.raises(KeyboardInterrupt):
+        next(rows)
+    assert os.listdir(tmp_path) == []
+
+
+def test_streamed_residual_csv_is_removed_when_the_stream_is_closed(tmp_path):
+    g = make_uniform_grid(0.0, 1.0, 16)
+    path = tmp_path / "residual.csv"
+    rows = _written_rows(path, residual_blocks(gaussian(), 1, 0, 1.0, 1.0, g), g.nodes)
+    next(rows)
+    assert path.exists()
+    rows.close()
+    assert os.listdir(tmp_path) == []
 
 
 def test_residual_fourier_with_complex_coefficient(tmp_path, capsys):
@@ -605,6 +633,14 @@ def test_unknown_residual_in_tolerance_override_fails_before_any_suite_runs(tmp_
     assert run(["verify", "--suite", "all", "--config", str(config), "--out", str(out)]) == 2
     assert "'nonlinear.typo'" in capsys.readouterr().err
     assert not list(out.glob("suite_*.json")) and not (out / "summary.json").exists()
+
+
+def test_unknown_residual_in_tolerance_override_names_the_residuals_reported(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tolerances": {"nonlinear.typo": 1.0}}))
+    assert run(["verify", "--suite", "nonlinear", "--config", str(config),
+                "--out", str(tmp_path / "o")]) == 2
+    assert "['rank1_gap', 'tensor_residual']" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_kernel_flag_it_would_ignore(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Generalized functions: pairing, differentiation, canonical form."""
 
-import json
 import os
 import subprocess
 import sys
@@ -214,22 +213,19 @@ def test_operator_rejects_function_coefficients(wide_grid):
         apply_constant_coeff_operator([(1, lambda x: x)], f)
 
 
-def test_json_round_trip(wide_grid):
-    f = GeneralizedFunction(
-        wide_grid,
-        smooth=np.exp(-wide_grid.nodes**2),
-        singular=[(0.5625, 1, -0.25)],
-        jumps=[(0.0, 1.0), (1.125, 2, 0.5)],
-    )
-    doc = f.to_json()
-    back = GeneralizedFunction.from_json(doc)
-    assert_allclose(back.smooth, f.smooth, atol=0)
-    assert back.singular == f.singular
-    assert back.jumps == f.jumps
-    # order-0 jumps serialize as pairs, higher orders as triples
-    parsed = json.loads(doc)
-    assert [0.0, 1.0] in parsed["jumps"]
-    assert [1.125, 2, 0.5] in parsed["jumps"]
+def test_from_json_reads_order0_jumps_as_pairs_and_higher_orders_as_triples():
+    # the form transform reads: an order-0 jump is a pair, an order-2 jump a triple
+    doc = """{
+      "smooth": [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.5, 2.0],
+      "jumps": [[1.125, 2, 0.5], [0.0, 1.0]],
+      "singular": [[0.5625, 1, -0.25]],
+      "grid": {"lo": -2.0, "hi": 2.0, "n": 9, "periodic": false}
+    }"""
+    f = GeneralizedFunction.from_json(doc)
+    assert f.grid == make_uniform_grid(-2.0, 2.0, 9, periodic=False)
+    assert_allclose(f.smooth, [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.5, 2.0], atol=0)
+    assert f.singular == (SingularTerm(0.5625, 1, -0.25),)
+    assert f.jumps == ((0.0, 0, 1.0), (1.125, 2, 0.5))
 
 
 def test_jumps_require_smooth_part(wide_grid):

@@ -55,7 +55,8 @@ def test_report_requires_tolerance_per_residual():
 
 def test_tolerance_override_validation():
     g = fourier_grid(16)
-    with pytest.raises(DomainError):
+    # an unknown key is named together with the residuals the check reports
+    with pytest.raises(DomainError, match=r"'no_such_key'.*\['intertwine_max', 'offband_defect_bw0'\]"):
         check_fourier_diagonalizes(g, tolerances={"no_such_key": 1.0})
     with pytest.raises(DomainError):
         check_fourier_diagonalizes(g, tolerances={"intertwine_max": -1.0})

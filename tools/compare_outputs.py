@@ -57,6 +57,8 @@ INVOCATIONS: List[List[str]] = [
     ["verify", "--suite", "fourier", "--n", "512", "--seed", "7"],
     ["verify", "--suite", "riccati", "--format", "json"],
     ["residual", "1", "1", "--kernel", "gaussian", "--n", "32"],
+    # the streamed residual writer over 16 row blocks
+    ["residual", "1", "1", "--kernel", "gaussian", "--n", "512"],
     ["transform", "--input", "gf.json", "--kernel", "gaussian", "--invert",
      "--threshold", "1e-8"],
     # configuration errors: each exits 2 with its message on stderr
