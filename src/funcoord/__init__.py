@@ -25,7 +25,6 @@ from .grid import (
 )
 from .distributions import (
     GeneralizedFunction,
-    SingularTerm,
     TestFunction,
     apply_constant_coeff_operator,
     differentiate,

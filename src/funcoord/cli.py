@@ -299,10 +299,12 @@ def _resolve_config(args) -> RunConfig:
     """The config file's fields overridden by the flags given, validated
     for the command; every field either sets counts as set by the user."""
     doc = _load_config(getattr(args, "config", None))
+    kernel = doc.get("kernel", {})
     # a flag not given leaves no attribute, and each flag's dest is its field
     doc.update((k, v) for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__)
     if "kernel" in vars(args):
-        doc["kernel"] = {"id": args.kernel}
+        # --kernel replaces the id only; validate checks the config's parameters against it
+        doc["kernel"] = {**kernel, "id": args.kernel} if isinstance(kernel, dict) else kernel
     return RunConfig(**doc).validate(args.command, doc)
 
 

@@ -20,6 +20,10 @@ differencing across a discontinuity, and lets kernel application integrate
 the discontinuous piece exactly. Detecting jumps numerically from samples
 is deliberately out of scope. Periodic grids take no jumps: a jump's image
 is integrated on the line, which the periodized kernel table does not match.
+
+Both kinds of declared structure, delta terms ``(x0, q, a)`` and jumps
+``(x0, order, height)``, have one canonical form, built by :func:`_canonical`:
+a sorted tuple of ``(x0, order, weight)`` triples.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +41,6 @@ from .grid import Grid, derivative, make_uniform_grid
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
-    "SingularTerm",
     "GeneralizedFunction",
     "TestFunction",
     "pair",
@@ -46,19 +50,6 @@ __all__ = [
 
 #: cap on delta-derivative orders
 DEFAULT_ORDER_CAP = 8
-
-
-@dataclass(frozen=True)
-class SingularTerm:
-    """One summand ``a * D^q delta(x - x0)``."""
-
-    x0: float
-    q: int
-    a: float
-
-    def __post_init__(self):
-        if self.q < 0:
-            raise DomainError(f"derivative order must be >= 0, got {self.q}")
 
 
 def _step(t):
@@ -84,14 +75,15 @@ class GeneralizedFunction:
     grid : Grid
     smooth : array or None
         Samples of the regular part on ``grid.nodes``.
-    singular : sequence of SingularTerm
-        Canonicalized on construction: terms with identical ``(x0, q)``
-        merge, exact-zero weights drop; orders above
+    singular : list or tuple of (x0, q, a)
+        Delta terms ``a * D^q delta(x - x0)``; orders above
         :data:`DEFAULT_ORDER_CAP` raise :class:`UnsupportedOrderError`.
-    jumps : sequence of (x0, order, height)
+    jumps : list or tuple of (x0, order, height)
         Declared discontinuities of the smooth part (see module docstring).
         Pairs ``(x0, height)`` are accepted and mean ``order = 0``. A
         periodic grid takes none.
+
+    Both are stored in the canonical form of :func:`_canonical`.
     """
 
     grid: Grid
@@ -101,42 +93,21 @@ class GeneralizedFunction:
 
     def __post_init__(self):
         if self.smooth is not None:
-            arr = np.asarray(self.smooth, dtype=float)
-            self.grid.require_samples(arr, "smooth part")
-            arr = arr.copy()
+            arr = self.grid.require_samples(np.array(self.smooth, dtype=float), "smooth part")
             arr.setflags(write=False)
             object.__setattr__(self, "smooth", arr)
-        terms = []
-        for t in self.singular:
-            if not isinstance(t, SingularTerm):
-                t = SingularTerm(float(t[0]), int(t[1]), float(t[2]))
-            terms.append(t)
-        object.__setattr__(self, "singular", _canonical_terms(terms))
-        jumps = []
-        for j in self.jumps:
-            if len(j) == 2:
-                x0, order, height = float(j[0]), 0, float(j[1])
-            else:
-                x0, order, height = float(j[0]), int(j[1]), float(j[2])
-            if order < 0:
-                raise DomainError(f"jump order must be >= 0, got {order}")
-            jumps.append((x0, order, height))
-        if jumps and self.smooth is None:
+        object.__setattr__(self, "singular", _canonical("singular", self.singular, self.grid))
+        object.__setattr__(self, "jumps", _canonical("jump", self.jumps, self.grid))
+        if self.jumps and self.smooth is None:
             raise DomainError("jump annotations require a smooth part")
-        if jumps and self.grid.periodic:
+        if self.jumps and self.grid.periodic:
             raise DomainError("jump annotations need a non-periodic grid")
-        object.__setattr__(self, "jumps", _canonical_jumps(jumps))
-        for x0 in [t.x0 for t in self.singular] + [j[0] for j in self.jumps]:
-            if not (self.grid.lo < x0 < self.grid.hi):
-                raise DomainError(
-                    f"singular point {x0} not strictly inside ({self.grid.lo}, {self.grid.hi})"
-                )
 
     # -- structure helpers -------------------------------------------------
 
     @property
     def max_order(self) -> int:
-        return max((t.q for t in self.singular), default=0)
+        return max((q for _, q, _ in self.singular), default=0)
 
     def smooth_remainder(self) -> Optional[np.ndarray]:
         """Smooth part minus its declared step/ramp structure — continuous by contract."""
@@ -151,7 +122,7 @@ class GeneralizedFunction:
         return GeneralizedFunction(
             grid=self.grid,
             smooth=None if self.smooth is None else c * self.smooth,
-            singular=[SingularTerm(t.x0, t.q, c * t.a) for t in self.singular],
+            singular=[(x0, q, c * a) for x0, q, a in self.singular],
             jumps=[(x0, order, c * h) for x0, order, h in self.jumps],
         )
 
@@ -180,20 +151,28 @@ class GeneralizedFunction:
     def from_json(cls, text: str) -> "GeneralizedFunction":
         """Read ``{"grid": {"lo", "hi", "n", "periodic"}, "smooth": [...], "jumps":
         [[x0, h] | [x0, q, h], ...], "singular": [[x0, q, a], ...]}`` strictly, only
-        ``grid`` required: ``grid.periodic`` must be a boolean, ``grid.n`` and every order
-        an integer, and every number finite, or :class:`DomainError` names the field or number."""
+        ``grid`` required: the document and ``grid`` must be objects, ``grid.lo``,
+        ``grid.hi`` and every ``smooth`` item numbers, ``grid.n`` an integer,
+        ``grid.periodic`` a boolean, every number finite and every entry of the form
+        :func:`_canonical` reads, or :class:`DomainError` names the field, item or entry."""
         doc = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+        if not isinstance(doc, dict):
+            raise DomainError(f"the input must be a JSON object, got {type(doc).__name__}")
         g = doc["grid"]
-        singular = [tuple(t) for t in doc.get("singular", [])]
-        jumps = [tuple(j) for j in doc.get("jumps", [])]
-        if not isinstance(g["periodic"], bool):
-            raise DomainError(f"grid.periodic must be true or false, got {g['periodic']!r}")
-        counts = [("grid.n", g["n"])] + [("singular order", t[1]) for t in singular]
-        for name, value in counts + [("jump order", j[1]) for j in jumps if len(j) == 3]:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(g, dict):
+            raise DomainError(f"grid must be an object, got {g!r}")
+        for name, kind, what in (("lo", Real, "a number"), ("hi", Real, "a number"),
+                                 ("n", Integral, "an integer"),
+                                 ("periodic", bool, "true or false")):
+            if not _is(g[name], kind):
+                raise DomainError(f"grid.{name} must be {what}, got {g[name]!r}")
+        smooth = doc.get("smooth")
+        bad = [v for v in smooth if not _is(v, Real)] if isinstance(smooth, list) else [smooth]
+        if smooth is not None and bad:
+            raise DomainError(f"smooth must be a list of numbers; {bad[0]!r} is not one")
         grid = make_uniform_grid(g["lo"], g["hi"], g["n"], g["periodic"])
-        return cls(grid=grid, smooth=doc.get("smooth"), singular=singular, jumps=jumps)
+        return cls(grid=grid, smooth=smooth, singular=doc.get("singular", []),
+                   jumps=doc.get("jumps", []))
 
 
 def _finite_number(literal: str) -> float:
@@ -204,26 +183,43 @@ def _finite_number(literal: str) -> float:
     return value
 
 
-def _merged(pairs) -> list:
-    """``(key, weight)`` pairs with equal keys' weights summed, zero sums
-    dropped, sorted by key."""
+def _is(value, kind) -> bool:
+    """Whether ``value`` is a ``kind``, a bool counting as a bool only, not a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _canonical(kind: str, entries, grid: Grid) -> tuple:
+    """The ``kind`` ('singular' or 'jump') ``entries`` as a sorted tuple of
+    ``(x0, order, weight)`` triples: equal ``(x0, order)`` merge, zero sums
+    drop. A jump may be the pair ``(x0, weight)``, of order 0. A delta order
+    above :data:`DEFAULT_ORDER_CAP` raises :class:`UnsupportedOrderError`, and
+    any other malformed entry, or an ``x0`` not strictly inside ``grid``,
+    :class:`DomainError`, naming the entry."""
+    if not isinstance(entries, (list, tuple)):
+        raise DomainError(f"{kind} entries must be a list, got {entries!r}")
+    pairs = kind == "jump"
+    form = "[x0, order, weight]" + (" or [x0, weight]" if pairs else "")
     merged: dict = {}
-    for key, weight in pairs:
-        merged[key] = merged.get(key, 0.0) + weight
-    return sorted((key, w) for key, w in merged.items() if w != 0.0)
-
-
-def _canonical_terms(terms) -> tuple:
-    for t in terms:
-        if t.q > DEFAULT_ORDER_CAP:
+    for k, entry in enumerate(entries):
+        where = f"{kind} entry {k}"
+        if not isinstance(entry, (list, tuple)) or len(entry) not in (3, 2 if pairs else 3):
+            raise DomainError(f"{where} must be {form}, got {entry!r}")
+        x0, order, weight = entry if len(entry) == 3 else (entry[0], 0, entry[1])
+        if not (_is(x0, Real) and _is(weight, Real)):
+            raise DomainError(f"{where} must have numbers as x0 and weight, got {entry!r}")
+        if not grid.lo < x0 < grid.hi:
+            raise DomainError(f"{where} has x0 = {x0}, not strictly inside ({grid.lo}, {grid.hi})")
+        if not _is(order, Integral):
+            raise DomainError(f"{kind} order must be an integer, got {order!r} in {where}")
+        if order < 0:
+            raise DomainError(f"{kind} order must be >= 0, got {order} in {where}")
+        if kind == "singular" and order > DEFAULT_ORDER_CAP:
             raise UnsupportedOrderError(
-                f"delta-derivative order {t.q} exceeds cap {DEFAULT_ORDER_CAP}"
+                f"delta-derivative order {order} exceeds cap {DEFAULT_ORDER_CAP} in {where}"
             )
-    return tuple(SingularTerm(*key, a) for key, a in _merged(((t.x0, t.q), t.a) for t in terms))
-
-
-def _canonical_jumps(jumps) -> tuple:
-    return tuple(key + (h,) for key, h in _merged((j[:2], j[2]) for j in jumps))
+        key = (float(x0), int(order))
+        merged[key] = merged.get(key, 0.0) + float(weight)
+    return tuple(sorted(key + (w,) for key, w in merged.items() if w != 0.0))
 
 
 @dataclass(frozen=True)
@@ -265,8 +261,8 @@ def pair(f: GeneralizedFunction, test: TestFunction) -> float:
     total = 0.0
     if f.smooth is not None:
         total += float(np.sum(f.grid.weights * f.smooth * test.values))
-    for t in f.singular:
-        total += t.a * (-1.0) ** t.q * test.derivative_at(t.q, t.x0)
+    for x0, q, a in f.singular:
+        total += a * (-1.0) ** q * test.derivative_at(q, x0)
     return total
 
 
@@ -280,18 +276,17 @@ def differentiate(f: GeneralizedFunction) -> GeneralizedFunction:
     by one.
     """
     # a term raised past DEFAULT_ORDER_CAP fails in the result's canonical form
-    new_singular = [SingularTerm(t.x0, t.q + 1, t.a) for t in f.singular]
+    new_singular = [(x0, q + 1, a) for x0, q, a in f.singular]
 
-    new_smooth = None
+    # only a smooth part has jumps
+    new_smooth = None if f.smooth is None else derivative(f.grid, f.smooth_remainder(), 1)
     new_jumps = []
-    if f.smooth is not None:
-        new_smooth = derivative(f.grid, f.smooth_remainder(), 1)
-        for x0, order, height in f.jumps:
-            if order == 0:
-                new_singular.append(SingularTerm(x0, 0, height))
-            else:
-                new_smooth = new_smooth + height * _ramp(f.grid.nodes - x0, order - 1)
-                new_jumps.append((x0, order - 1, height))
+    for x0, order, height in f.jumps:
+        if order == 0:
+            new_singular.append((x0, 0, height))
+        else:
+            new_smooth = new_smooth + height * _ramp(f.grid.nodes - x0, order - 1)
+            new_jumps.append((x0, order - 1, height))
 
     return GeneralizedFunction(
         grid=f.grid,

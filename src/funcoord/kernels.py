@@ -524,8 +524,8 @@ def apply(
     for x0, order, height in f.jumps:
         result = result + height * _jump_image(kernel, x, x0, order, grid.hi)
 
-    for t in f.singular:
-        result = result + t.a * (-1.0) ** t.q * kernel.partial_y(x, t.x0, t.q)
+    for x0, q, a in f.singular:
+        result = result + a * (-1.0) ** q * kernel.partial_y(x, x0, q)
 
     return result
 

@@ -35,6 +35,7 @@ import numpy as np
 from .distributions import (
     GeneralizedFunction,
     TestFunction,
+    _step,
     apply_constant_coeff_operator,
     pair,
 )
@@ -391,9 +392,7 @@ def step_instance():
     Returns ``(L, u, v)``.
     """
     quad_grid = make_uniform_grid(-6.0, 6.0, 64, periodic=False)
-    x = quad_grid.nodes
-    smooth = np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
-    u = GeneralizedFunction(quad_grid, smooth=smooth, jumps=[(0.0, 1.0)])
+    u = GeneralizedFunction(quad_grid, smooth=_step(quad_grid.nodes), jumps=[(0.0, 1.0)])
     v = GeneralizedFunction(quad_grid, singular=[(0.0, 0, 1.0)])
     return [(1, 1.0)], u, v
 
@@ -427,9 +426,8 @@ def _random_theorem_instance(rng, quad_grid: Grid):
         mu = rng.uniform(-1.5, 1.5)
         s = rng.uniform(0.7, 1.4)
         smooth += c * np.exp(-(((x - mu) / s) ** 2))
-    singular = []
-    for _ in range(rng.randrange(0, 3)):
-        singular.append((rng.uniform(-1.0, 1.0), rng.randrange(0, 2), rng.uniform(-1.0, 1.0)))
+    singular = [(rng.uniform(-1.0, 1.0), rng.randrange(0, 2), rng.uniform(-1.0, 1.0))
+                for _ in range(rng.randrange(0, 3))]
     u = GeneralizedFunction(quad_grid, smooth=smooth, singular=singular)
 
     orders = [int(q) for q in range(3) if rng.random() < 0.6]

@@ -200,15 +200,36 @@ def test_transform_bad_json_is_config_error(tmp_path):
     ("sample", "NaN", "number NaN in the input is not finite"),
     ("sample", "-Infinity", "number -Infinity in the input is not finite"),
     ("sample", "1e999", "number 1e999 in the input is not finite"),
-], ids=["periodic-text", "n-float", "n-bool", "singular-order", "jump-order", "nan", "-inf", "1e999"])
+    ("document", "[]", "the input must be a JSON object, got list"),
+    ("grid", "[1, 2]", "grid must be an object, got [1, 2]"),
+    ("lo", "null", "grid.lo must be a number, got None"),
+    ("sample", "null", "smooth must be a list of numbers; None is not one"),
+    ("smooth", '"abc"', "smooth must be a list of numbers; 'abc' is not one"),
+    ("singular", "5", "singular entries must be a list, got 5"),
+    ("singular", "[[0.0]]", "singular entry 0 must be [x0, order, weight], got [0.0]"),
+    ("singular", "[5]", "singular entry 0 must be [x0, order, weight], got 5"),
+    ("singular", "[[0.0, 1, 1.0, 7]]",
+     "singular entry 0 must be [x0, order, weight], got [0.0, 1, 1.0, 7]"),
+    ("singular", "[[0.0, 1, 1.0], [0.5, -1, 1.0]]",
+     "singular order must be >= 0, got -1 in singular entry 1"),
+    ("singular", "[[null, 1, 1.0]]", "singular entry 0 must have numbers as x0 and weight"),
+    ("jumps", "[[0.5]]", "jump entry 0 must be [x0, order, weight] or [x0, weight], got [0.5]"),
+    ("jumps", '[[0.5, "1"]]', "jump entry 0 must have numbers as x0 and weight"),
+], ids=["periodic-text", "n-float", "n-bool", "singular-order", "jump-order", "nan", "-inf", "1e999",
+        "document-array", "grid-array", "lo-null", "sample-null", "smooth-text", "singular-number",
+        "singular-short", "singular-entry-number", "singular-long", "singular-negative-order",
+        "singular-null-x0", "jump-short", "jump-text-height"])
 def test_transform_reads_its_input_strictly(tmp_path, capsys, field, value, message):
     # coercion would read "false" as a periodic grid (bool("false") is true),
-    # 64.7 as 64 and the orders as 1, and write non-finite samples out
+    # 64.7 as 64 and the orders as 1, and write non-finite samples out; an
+    # unchecked shape would end in a traceback, or read past a 4th element
     doc = {"smooth": [0.0] * 64, "jumps": [], "singular": [], "grid": {**GRID_DOC}}
-    if field in ("periodic", "n"):
+    if field in ("periodic", "n", "lo"):
         doc["grid"][field] = "@"
     elif field == "sample":
         doc["smooth"][10] = "@"
+    elif field == "document":
+        doc = "@"
     else:
         doc[field] = "@"
     path = tmp_path / "in.json"
@@ -717,7 +738,7 @@ def test_kernel_parameter_is_checked(tmp_path, capsys, kernel, name):
     assert f"'kernel.{name}'" in capsys.readouterr().err
 
 
-def test_dilation_kernel_takes_its_constant_from_the_config(tmp_path):
+def test_dilation_kernel_takes_its_constant_from_the_config(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"kernel": {"id": "dilation", "c": -2}}))
     smooth = list(np.sin(np.linspace(-6, 6, 64)))
@@ -728,6 +749,19 @@ def test_dilation_kernel_takes_its_constant_from_the_config(tmp_path):
     assert run(["transform", "--config", str(config), "--input", gf, "--out", str(out)]) == 0
     _, rows = read_csv(out / "transform.csv")
     assert np.array_equal(rows[:, 1], -2.0 * np.asarray(smooth))
+    # --kernel names the kernel and keeps the config file's parameters, which
+    # a kernel that does not take them rejects
+    config.write_text(json.dumps({"kernel": {"id": "dilation", "c": 2.0}}))
+    flagged = tmp_path / "flagged"
+    assert run(["transform", "--config", str(config), "--kernel", "dilation", "--input", gf,
+                "--out", str(flagged)]) == 0
+    _, rows = read_csv(flagged / "transform.csv")
+    assert np.array_equal(rows[:, 1], 2.0 * np.asarray(smooth))
+    other = tmp_path / "other"
+    assert run(["transform", "--config", str(config), "--kernel", "gaussian", "--input", gf,
+                "--out", str(other)]) == 2
+    assert "'kernel.c'" in capsys.readouterr().err
+    assert not other.exists()
 
 
 def test_verify_never_imports_scipy(tmp_path):

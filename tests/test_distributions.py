@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from funcoord import (
     DomainError,
     GeneralizedFunction,
-    SingularTerm,
     TestFunction,
     UnsupportedOrderError,
     apply_constant_coeff_operator,
@@ -127,13 +126,13 @@ def test_differentiate_delta_raises_order(wide_grid):
     f = GeneralizedFunction(wide_grid, singular=[(0.0, 0, 1.0)])
     df = differentiate(f)
     assert df.smooth is None
-    assert df.singular == (SingularTerm(0.0, 1, 1.0),)
+    assert df.singular == ((0.0, 1, 1.0),)
 
 
 def test_differentiate_step_gives_delta_and_zero_smooth(wide_grid):
     f = heaviside(wide_grid)
     df = differentiate(f)
-    assert df.singular == (SingularTerm(0.0, 0, 1.0),)
+    assert df.singular == ((0.0, 0, 1.0),)
     assert np.max(np.abs(df.smooth)) == 0.0
     assert df.jumps == ()
 
@@ -168,10 +167,28 @@ def test_canonical_form_merges_and_drops():
         g,
         singular=[(1.0, 0, 0.5), (1.0, 0, 0.5), (2.0, 1, 0.3), (2.0, 1, -0.3)],
     )
-    assert f.singular == (SingularTerm(1.0, 0, 1.0),)
+    assert f.singular == ((1.0, 0, 1.0),)
     # canonicalization is idempotent
     again = GeneralizedFunction(g, singular=f.singular)
     assert again.singular == f.singular
+
+
+def test_jumps_and_delta_terms_have_one_canonical_form():
+    g = make_uniform_grid(-6.0, 6.0, 16, periodic=False)
+    entries = [(2.0, 1, 0.3), (1.0, 0, 0.5), (2.0, 1, -0.3), (-1.0, 2, 0.25), (1.0, 0, 0.5)]
+    f = GeneralizedFunction(g, smooth=np.zeros(16), singular=entries, jumps=entries)
+    assert f.singular == f.jumps == ((-1.0, 2, 0.25), (1.0, 0, 1.0))
+    # a jump may be a pair of order 0; a delta term may not
+    assert GeneralizedFunction(g, smooth=np.zeros(16), jumps=[(1.0, 0.5)]).jumps == ((1.0, 0, 0.5),)
+    with pytest.raises(DomainError, match=r"singular entry 0 must be \[x0, order, weight\]"):
+        GeneralizedFunction(g, singular=[(1.0, 0.5)])
+    for kind in ("singular", "jumps"):
+        for entry in [(1.0,), (1.0, 0, 0.5, 7), (1.0, 1.5, 0.5), (1.0, True, 0.5), (1.0, -1, 0.5)]:
+            with pytest.raises(DomainError, match="entry 0"):
+                GeneralizedFunction(g, smooth=np.zeros(16), **{kind: [entry]})
+    with pytest.raises(UnsupportedOrderError, match="order 9 exceeds cap 8 in singular entry 1"):
+        GeneralizedFunction(g, singular=[(1.0, 8, 1.0), (1.0, 9, 1.0)])
+    assert GeneralizedFunction(g, smooth=np.zeros(16), jumps=[(1.0, 9, 1.0)]).jumps == ((1.0, 9, 1.0),)
 
 
 def test_singular_point_must_be_interior():
@@ -189,7 +206,7 @@ def test_operator_identity_and_step(wide_grid):
     assert same.jumps == f.jumps
 
     d = apply_constant_coeff_operator([(1, 1.0)], f)
-    assert d.singular == (SingularTerm(0.0, 0, 1.0),)
+    assert d.singular == ((0.0, 0, 1.0),)
     assert np.max(np.abs(d.smooth)) == 0.0
 
 
@@ -200,7 +217,7 @@ def test_second_derivative_of_kink_is_weighted_delta():
         g, smooth=np.abs(g.nodes - c), jumps=[(c, 1, 2.0)]
     )
     d2 = apply_constant_coeff_operator([(2, 1.0)], u)
-    assert d2.singular == (SingularTerm(c, 0, 2.0),)
+    assert d2.singular == ((c, 0, 2.0),)
     assert np.max(np.abs(d2.smooth)) < 1e-11
     # cross-check by pairing: (2 delta_c, phi) = 2 phi(c)
     phi = bump_test_function(g, 0, mu=c, s=1.0)
@@ -224,7 +241,7 @@ def test_from_json_reads_order0_jumps_as_pairs_and_higher_orders_as_triples():
     f = GeneralizedFunction.from_json(doc)
     assert f.grid == make_uniform_grid(-2.0, 2.0, 9, periodic=False)
     assert_allclose(f.smooth, [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.5, 2.0], atol=0)
-    assert f.singular == (SingularTerm(0.5625, 1, -0.25),)
+    assert f.singular == ((0.5625, 1, -0.25),)
     assert f.jumps == ((0.0, 0, 1.0), (1.125, 2, 0.5))
 
 

@@ -41,9 +41,22 @@ GF = {
     "grid": {"lo": -6.0, "hi": 6.0, "n": 32, "periodic": False},
 }
 
+#: the same grid with declared structure: a jump given as a pair, a jump
+#: triple of order 2, delta terms of orders 0-2, and entries that merge
+#: (at -1.0 and 0.5) or cancel (at 1.0 and 3.0)
+STRUCTURED = {
+    "smooth": [math.exp(-x * x) * math.cos(2.0 * x) + (x > -1.0) + 0.125 * max(x - 2.0, 0.0) ** 2
+               for x in _X],
+    "jumps": [[-1.0, 0.5], [2.0, 2, 0.25], [-1.0, 0, 0.5], [1.0, 1, 0.75], [1.0, 1, -0.75]],
+    "singular": [[0.5, 0, 1.0], [-0.5, 1, -0.5], [1.5, 2, 0.125], [0.5, 0, 0.25],
+                 [3.0, 1, 0.3], [3.0, 1, -0.3]],
+    "grid": GF["grid"],
+}
+
 #: files each run directory holds before the invocation starts
 INPUT_FILES = {
     "gf.json": json.dumps(GF),
+    "structured.json": json.dumps(STRUCTURED),
     "theorem_override.json": json.dumps({"tolerances": {"theorem.operator_residual": 1.0}}),
 }
 
@@ -61,6 +74,8 @@ INVOCATIONS: List[List[str]] = [
     ["residual", "1", "1", "--kernel", "gaussian", "--n", "512"],
     ["transform", "--input", "gf.json", "--kernel", "gaussian", "--invert",
      "--threshold", "1e-8"],
+    ["transform", "--input", "structured.json", "--kernel", "gaussian"],
+    ["transform", "--input", "structured.json", "--kernel", "translation_tgauss"],
     # configuration errors: each exits 2 with its message on stderr
     ["verify", "--suite", "fourier", "--format", "csv"],
     ["verify", "--suite", "theorem", "--config", "theorem_override.json"],
