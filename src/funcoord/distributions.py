@@ -119,12 +119,9 @@ class GeneralizedFunction:
     # -- linear-space operations -------------------------------------------
 
     def scaled(self, c: float) -> "GeneralizedFunction":
-        return GeneralizedFunction(
-            grid=self.grid,
-            smooth=None if self.smooth is None else c * self.smooth,
-            singular=[(x0, q, c * a) for x0, q, a in self.singular],
-            jumps=[(x0, order, c * h) for x0, order, h in self.jumps],
-        )
+        return GeneralizedFunction(self.grid, None if self.smooth is None else c * self.smooth,
+                                   [(x0, q, c * a) for x0, q, a in self.singular],
+                                   [(x0, order, c * h) for x0, order, h in self.jumps])
 
     def __add__(self, other: "GeneralizedFunction") -> "GeneralizedFunction":
         if other.grid != self.grid:
@@ -135,12 +132,8 @@ class GeneralizedFunction:
             smooth = self.smooth
         else:
             smooth = self.smooth + other.smooth
-        return GeneralizedFunction(
-            grid=self.grid,
-            smooth=smooth,
-            singular=list(self.singular) + list(other.singular),
-            jumps=list(self.jumps) + list(other.jumps),
-        )
+        return GeneralizedFunction(self.grid, smooth, self.singular + other.singular,
+                                   self.jumps + other.jumps)
 
     def __sub__(self, other: "GeneralizedFunction") -> "GeneralizedFunction":
         return self + other.scaled(-1.0)
@@ -151,16 +144,20 @@ class GeneralizedFunction:
     def from_json(cls, text: str) -> "GeneralizedFunction":
         """Read ``{"grid": {"lo", "hi", "n", "periodic"}, "smooth": [...], "jumps":
         [[x0, h] | [x0, q, h], ...], "singular": [[x0, q, a], ...]}`` strictly, only
-        ``grid`` required: the document and ``grid`` must be objects, ``grid.lo``,
-        ``grid.hi`` and every ``smooth`` item numbers, ``grid.n`` an integer,
+        ``grid`` required and no other key: the document and ``grid`` must be objects,
+        ``grid.lo``, ``grid.hi`` and every ``smooth`` item numbers, ``grid.n`` an integer,
         ``grid.periodic`` a boolean, every number finite and every entry of the form
-        :func:`_canonical` reads, or :class:`DomainError` names the field, item or entry."""
+        :func:`_canonical` reads, or :class:`DomainError` names the key, field, item or entry."""
         doc = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
         if not isinstance(doc, dict):
             raise DomainError(f"the input must be a JSON object, got {type(doc).__name__}")
         g = doc["grid"]
         if not isinstance(g, dict):
             raise DomainError(f"grid must be an object, got {g!r}")
+        unknown = sorted({*doc} - {"grid", "smooth", "jumps", "singular"}) + sorted(
+            f"grid.{key}" for key in {*g} - {"lo", "hi", "n", "periodic"})
+        if unknown:
+            raise DomainError(f"unknown key {unknown[0]!r} in the input")
         for name, kind, what in (("lo", Real, "a number"), ("hi", Real, "a number"),
                                  ("n", Integral, "an integer"),
                                  ("periodic", bool, "true or false")):
@@ -209,17 +206,22 @@ def _canonical(kind: str, entries, grid: Grid) -> tuple:
             raise DomainError(f"{where} must have numbers as x0 and weight, got {entry!r}")
         if not grid.lo < x0 < grid.hi:
             raise DomainError(f"{where} has x0 = {x0}, not strictly inside ({grid.lo}, {grid.hi})")
-        if not _is(order, Integral):
-            raise DomainError(f"{kind} order must be an integer, got {order!r} in {where}")
-        if order < 0:
-            raise DomainError(f"{kind} order must be >= 0, got {order} in {where}")
+        order = _order(order, f"{kind} order", f" in {where}")
         if kind == "singular" and order > DEFAULT_ORDER_CAP:
-            raise UnsupportedOrderError(
-                f"delta-derivative order {order} exceeds cap {DEFAULT_ORDER_CAP} in {where}"
-            )
-        key = (float(x0), int(order))
+            raise UnsupportedOrderError(f"delta-derivative order {order} exceeds cap "
+                                        f"{DEFAULT_ORDER_CAP} in {where}")
+        key = (float(x0), order)
         merged[key] = merged.get(key, 0.0) + float(weight)
     return tuple(sorted(key + (w,) for key, w in merged.items() if w != 0.0))
+
+
+def _order(order, what: str, where: str = "") -> int:
+    """``order`` as an int if it is an integer, not a bool, >= 0, else DomainError."""
+    if not _is(order, Integral):
+        raise DomainError(f"{what} must be an integer, got {order!r}{where}")
+    if order < 0:
+        raise DomainError(f"{what} must be >= 0, got {order}{where}")
+    return int(order)
 
 
 @dataclass(frozen=True)
@@ -301,27 +303,19 @@ def apply_constant_coeff_operator(
 ) -> GeneralizedFunction:
     """Apply ``sum_q c_q d^q/dx^q`` with constant coefficients ``c_q``.
 
-    ``L`` is a sequence of ``(order, coefficient)`` pairs; coefficients must
-    be numbers. The result is returned in canonical form.
+    ``L`` is a sequence of ``(order, coefficient)`` pairs, each order an integer
+    >= 0 and each coefficient a real number. The result is in canonical form.
     """
     terms = []
     for order, coeff in L:
-        order = int(order)
-        if order < 0:
-            raise DomainError(f"operator order must be >= 0, got {order}")
-        if not isinstance(coeff, (int, float, np.integer, np.floating)):
-            raise DomainError("coefficients must be constants")
-        terms.append((order, float(coeff)))
+        if not _is(coeff, Real):
+            raise DomainError(f"coefficients must be real constants, got {coeff!r}")
+        terms.append((_order(order, "operator order"), float(coeff)))
     if not terms:
         raise DomainError("operator has no terms")
 
-    max_order = max(order for order, _ in terms)
     derivatives = [f]
-    for _ in range(max_order):
+    for _ in range(max(order for order, _ in terms)):
         derivatives.append(differentiate(derivatives[-1]))
-
-    result = None
-    for order, coeff in terms:
-        piece = derivatives[order].scaled(coeff)
-        result = piece if result is None else result + piece
-    return result
+    pieces = [derivatives[order].scaled(coeff) for order, coeff in terms]
+    return sum(pieces[1:], pieces[0])

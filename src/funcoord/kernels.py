@@ -30,10 +30,9 @@ columns), checked for non-finite entries.
 
 Application integrates the declared jumps of a generalized function
 exactly: in closed form for translation kernels, from their profile's
-antiderivatives (the Gaussian's repeated erfc integrals, which its profile
-gives at negative orders, and ``t e^{-t^2}``, which is -1/2 the Gaussian's
-derivative), and by one vector-valued adaptive quadrature per jump for
-every other kernel. scipy is imported only where that quadrature runs.
+antiderivatives (repeated erfc integrals for the Gaussian and
+``t e^{-t^2}``), and under every other kernel by one vector-valued
+Gauss–Legendre quadrature per jump, in numpy like the rest of funcoord.
 
 Inversion is always regularized (truncated SVD, by a randomized range
 finder for matrices of low numerical rank); deconvolution against a
@@ -49,6 +48,7 @@ growth. Each test documents its domain choice.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import GeneralizedFunction
+from .distributions import GeneralizedFunction, _order
 from .errors import (
     DomainError,
     KernelEvaluationError,
@@ -457,13 +457,34 @@ def discretize(kernel: Kernel, grid: Grid) -> OperatorMatrix:
     return OperatorMatrix(kernel_table(kernel, grid.nodes, grid), grid)
 
 
-def quad(fn, lo, hi):
-    """scipy's adaptive ``quad_vec`` of a vector-valued (real or complex)
-    ``fn`` over ``[lo, hi]``, its error taken in the max norm; imported on
-    first use so that importing funcoord does not load scipy."""
-    from scipy.integrate import quad_vec
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int = 32):
+    """``n`` Gauss–Legendre nodes and weights on [0, 1], by Newton's method on the recurrence."""
+    t = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(6):
+        p, prev = t, 1.0
+        for j in range(2, n + 1):
+            p, prev = ((2 * j - 1) * t * p - (j - 1) * prev) / j, p
+        dp = n * (t * p - prev) / (t * t - 1)
+        t = t - p / dp
+    return (1 + t) / 2, 1 / ((1 - t * t) * dp * dp)
 
-    return quad_vec(fn, lo, hi, norm="max")
+
+def quad(fn, lo, hi):
+    """``int_lo^hi fn(t) dt`` for ``fn`` mapping a column of points to rows of values:
+    32-point Gauss–Legendre panels, doubled until two estimates agree to 1e-13 (1 +
+    max|estimate|) in the max norm; None if 2^11 panels do not or one is not finite."""
+    t, w = _gauss_legendre()
+    estimate = np.inf
+    for n in (2**i for i in range(12)):
+        h = (hi - lo) / n
+        previous, estimate = estimate, sum(h * w @ fn(lo + h * (k + t)[:, None]) for k in range(n))
+        scale = 1.0 + np.max(np.abs(estimate))
+        if not np.isfinite(scale):
+            break
+        if np.max(np.abs(estimate - previous)) <= 1e-13 * scale:
+            return estimate
+    return None
 
 
 def _jump_image(kernel: Kernel, x: np.ndarray, x0: float, order: int, hi: float):
@@ -473,13 +494,16 @@ def _jump_image(kernel: Kernel, x: np.ndarray, x0: float, order: int, hi: float)
     Cauchy's formula for repeated integration is the (order+1)-fold
     antiderivative of ``f`` at ``x - x0``, the profile at a negative order
     (a profile without one raises :class:`UnsupportedOrderError`). Every
-    other kernel is integrated to ``hi`` by one adaptive quadrature over
-    the vector of all points at once.
+    other kernel is integrated to ``hi`` by one :func:`quad` over all points
+    at once; where it fails, :class:`KernelEvaluationError` is raised.
     """
     if kernel.profile_n is not None:
         return kernel.profile_n(x - x0, -(order + 1))
     fact = math.factorial(order)
-    image, _ = quad(lambda t: kernel.eval(x, t) * (t - x0) ** order / fact, x0, hi)
+    image = quad(lambda t: kernel.eval(x, t) * (t - x0) ** order / fact, x0, hi)
+    if image is None:
+        raise KernelEvaluationError(kernel.id, math.nan, x0, message=f"the jump image at {x0!r} "
+                                    f"under {kernel.id!r} is not finite or does not converge")
     return image
 
 
@@ -496,8 +520,7 @@ def apply(
       ``h * int_{x0} w(x, y) (y - x0)^k / k! dy``: to +infinity in closed
       form for translation kernels, from their profile's antiderivatives
       (repeated erfc integrals for the Gaussian and ``t e^{-t^2}``), and
-      to ``grid.hi`` by one vector-valued adaptive quadrature over all
-      output points for every other kernel;
+      to ``grid.hi`` by one :func:`quad` for every other kernel;
     * each delta term contributes ``a * (-1)^q * d^q/dy^q w(x, x0)``.
 
     ``out_nodes`` selects evaluation points other than the grid nodes
@@ -650,9 +673,7 @@ def residual_blocks(
     stencils of :func:`grid._fd_rows`, on every grid, and the boundary rows
     are left out. Arguments are checked on the call, finiteness per block.
     """
-    n, m = int(n), int(m)
-    if n < 0 or m < 0:
-        raise DomainError("derivative orders must be nonnegative")
+    n, m = _order(n, "x order"), _order(m, "y order")
     if kernel.factor is not None:
         raise DomainError("diagonal kernels have no pointwise residual field")
     if not kernel._analytic("y", m):

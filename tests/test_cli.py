@@ -240,6 +240,21 @@ def test_transform_reads_its_input_strictly(tmp_path, capsys, field, value, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["jump", "grid.N"])
+def test_transform_rejects_keys_it_does_not_read(tmp_path, capsys, key):
+    # a misspelt "jumps" would otherwise transform the step without its jump
+    doc = {"smooth": [0.0] * 64, "jumps": [], "singular": [], "grid": {**GRID_DOC}}
+    if key == "jump":
+        doc["jump"] = [[0.0, 1.0]]
+    else:
+        doc["grid"]["N"] = 3
+    gf = make_gf_json(tmp_path, "in.json", doc)
+    out = tmp_path / "tr"
+    assert run(["transform", "--input", gf, "--kernel", "gaussian", "--out", str(out)]) == 2
+    assert f"unknown key {key!r} in the input" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_kernel_overflow_is_numerical_failure(tmp_path, capsys):
     # e^{x e^y} overflows on [-6, 6]^2: the smooth part's kernel table is
     # not finite, a numerical failure rather than a configuration error
@@ -765,11 +780,10 @@ def test_dilation_kernel_takes_its_constant_from_the_config(tmp_path, capsys):
 
 
 def test_verify_never_imports_scipy(tmp_path):
-    # scipy is loaded only by quadrature of jumps under kernels without
-    # closed-form images, which no default suite needs; seeded draws come
-    # from the standard library, so numpy.random (and the hashlib that its
-    # secrets import loads) stays out too, as does numpy.polynomial, whose
-    # Hermite evaluation funcoord does itself
+    # funcoord runs on numpy alone, jump quadrature included; seeded draws
+    # come from the standard library, so numpy.random (and the hashlib that
+    # its secrets import loads) stays out too, as does numpy.polynomial,
+    # whose Hermite evaluation and Gauss-Legendre rule funcoord does itself
     script = (
         "import sys\n"
         "import funcoord.cli\n"
@@ -797,12 +811,20 @@ def test_verify_never_imports_scipy(tmp_path):
         "smooth": list(np.where(x > 0.5, 1.0, 0.0)), "jumps": [[0.5, 1.0]], "singular": [],
         "grid": GRID_DOC,
     })
+    x = np.linspace(0.0, 1.0, 64)
+    kink = make_gf_json(tmp_path, "kink.json", {
+        "smooth": list(np.where(x > 0.4, 1.0, 0.0) + np.maximum(x - 0.7, 0.0)),
+        "jumps": [[0.4, 1.0], [0.7, 1, 1.0]], "singular": [],
+        "grid": {"lo": 0.0, "hi": 1.0, "n": 64, "periodic": False},
+    })
     cases = {
         "all": ["verify", "--suite", "all", "--seed", "7"],
         "n512": ["verify", "--suite", "derivative", "--suite", "product", "--suite", "xdx",
                  "--suite", "riccati", "--n", "512"],
         "invert": ["transform", "--input", gf, "--kernel", "gaussian", "--invert"],
         "tgauss_step": ["transform", "--input", step, "--kernel", "translation_tgauss"],
+        # jump images under exp_exp come from funcoord's own Gauss-Legendre rule
+        "exp_exp_kink": ["transform", "--input", kink, "--kernel", "exp_exp_minus"],
     }
     for name, argv in cases.items():
         proc = subprocess.run(

@@ -36,6 +36,7 @@ from funcoord.cli import KERNELS
 from funcoord.grid import OperatorMatrix, _fd_rows, csv_blocks
 from funcoord.kernels import (
     _fd_radius,
+    _gauss_legendre,
     _gaussian_sketch,
     _hermite,
     _jump_image,
@@ -43,6 +44,7 @@ from funcoord.kernels import (
     _translation,
     _truncated_svd,
     kernel_table,
+    quad,
 )
 
 
@@ -263,7 +265,7 @@ def _per_node_jump_image(kernel, x, x0, order, upper):
 @pytest.mark.parametrize("order", [0, 1])
 @pytest.mark.parametrize("case", ["fourier", "exp_exp"])
 def test_jump_image_quadrature_matches_per_node_quad(case, order):
-    # one vector-valued quad_vec over all nodes against scalar quad per node,
+    # one vector-valued quad over all nodes against scalar quad per node,
     # to hi: complex (fourier) and real (exp_exp)
     kernel, grid, x0 = {
         "fourier": (fourier(), make_uniform_grid(0.0, 2 * np.pi, 64, periodic=True), 1.3),
@@ -273,6 +275,41 @@ def test_jump_image_quadrature_matches_per_node_quad(case, order):
     nodes = grid.nodes[::9]
     expected = _per_node_jump_image(kernel, nodes, x0, order, grid.hi)
     assert np.max(np.abs(image[::9] - expected)) <= 1e-10 * (1.0 + np.max(np.abs(image)))
+
+
+def test_gauss_legendre_rule_is_numpys_on_the_unit_interval():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = _gauss_legendre()
+    ref_nodes, ref_weights = leggauss(32)
+    order = np.argsort(nodes)
+    assert np.max(np.abs(nodes[order] - (1 + ref_nodes) / 2)) <= 1e-15
+    assert np.max(np.abs(weights[order] - ref_weights / 2)) <= 1e-15
+    # exact up to degree 63: int_0^1 t^63 dt = 1/64
+    assert abs(weights @ nodes**63 - 1 / 64) <= 1e-15
+
+
+def test_quad_of_a_vector_valued_integrand_is_exact():
+    # int_0^1 e^{x t} dt = (e^x - 1)/x and int_0^2 e^{i x t} dt = (e^{2ix} - 1)/(ix)
+    x = np.linspace(0.5, 30.0, 40)
+    real = quad(lambda t: np.exp(x * t), 0.0, 1.0)
+    assert np.max(np.abs(real - np.expm1(x) / x) / (np.expm1(x) / x)) <= 1e-14
+    oscillating = quad(lambda t: np.exp(1j * x * t), 0.0, 2.0)
+    assert np.max(np.abs(oscillating - np.expm1(2j * x) / (1j * x))) <= 1e-13
+
+
+@pytest.mark.parametrize("integrand", ["singular", "nan"])
+def test_jump_image_that_quadrature_cannot_find_raises(integrand):
+    # 1/sqrt(t - x0) converges like the square root of the panel width, far
+    # too slowly for 2^11 panels; a NaN value stops the doubling at once
+    eval_ = {
+        "singular": lambda x, y: 1.0 / np.sqrt(np.abs(y - 0.25)) + 0 * x,
+        "nan": lambda x, y: np.where(y > 0.5, np.nan, 1.0) + 0 * x,
+    }[integrand]
+    kernel = Kernel(id="probe", eval=eval_)
+    assert quad(lambda t: eval_(np.zeros(3), t), 0.25, 1.0) is None
+    with pytest.raises(KernelEvaluationError, match="jump image at 0.25 under 'probe'"):
+        _jump_image(kernel, np.linspace(0.0, 1.0, 8), 0.25, 0, 1.0)
 
 
 def test_jump_image_of_a_profile_without_antiderivatives_raises(monkeypatch):
@@ -442,6 +479,13 @@ def residual_field(*args, **kwargs):
     """The x nodes and the residual rows of residual_blocks, joined."""
     x, values = zip(*residual_blocks(*args, **kwargs))
     return np.concatenate(x), np.concatenate(values)
+
+
+@pytest.mark.parametrize("orders", [(1.7, 0), (True, 0), (1, -1)])
+def test_residual_orders_follow_the_input_rules(wide_grid, orders):
+    # int(1.7) would take a first derivative
+    with pytest.raises(DomainError):
+        kernel_pde_residual(gaussian(), *orders, 1.0, 1.0, wide_grid)
 
 
 def test_residual_gaussian_first_order(wide_grid):

@@ -9,10 +9,10 @@ included. Each invocation runs once per tree, from a fresh directory of its
 own, with a relative ``--out``, so no path differs between the two runs. For
 each invocation the script prints both exit codes and every stdout, stderr or
 output file whose sha256 differs (or that only one tree wrote). A differing
-JSON file or stdout is shown by value: each leaf whose ``repr`` moved, by its
-key path (a stdout that is not JSON by its line numbers), old and new. It
-exits 0 when nothing differs, 1 when something does and 2 when the export
-fails.
+JSON file, CSV file or stdout is shown by value: each leaf whose ``repr``
+moved, by its key path (a CSV file or a stdout that is not JSON by its line
+numbers), old and new. It exits 0 when nothing differs, 1 when something does
+and 2 when the export fails.
 """
 
 from __future__ import annotations
@@ -53,10 +53,21 @@ STRUCTURED = {
     "grid": GF["grid"],
 }
 
+#: 32 nodes of [0, 1], where exp_exp is kept, with a jump given as a pair,
+#: an order-1 jump and a delta: every jump image comes from the quadrature
+_U = [i / 31 for i in range(32)]
+UNIT = {
+    "smooth": [math.cos(3.0 * u) + (u > 0.3) + 0.5 * max(u - 0.6, 0.0) for u in _U],
+    "jumps": [[0.3, 1.0], [0.6, 1, 0.5]],
+    "singular": [[0.45, 0, 0.25]],
+    "grid": {"lo": 0.0, "hi": 1.0, "n": 32, "periodic": False},
+}
+
 #: files each run directory holds before the invocation starts
 INPUT_FILES = {
     "gf.json": json.dumps(GF),
     "structured.json": json.dumps(STRUCTURED),
+    "unit.json": json.dumps(UNIT),
     "theorem_override.json": json.dumps({"tolerances": {"theorem.operator_residual": 1.0}}),
 }
 
@@ -76,6 +87,9 @@ INVOCATIONS: List[List[str]] = [
      "--threshold", "1e-8"],
     ["transform", "--input", "structured.json", "--kernel", "gaussian"],
     ["transform", "--input", "structured.json", "--kernel", "translation_tgauss"],
+    # jump images under kernels without a profile
+    ["transform", "--input", "unit.json", "--kernel", "exp_exp_minus"],
+    ["transform", "--input", "unit.json", "--kernel", "exp_exp_plus"],
     # configuration errors: each exits 2 with its message on stderr
     ["verify", "--suite", "fourier", "--format", "csv"],
     ["verify", "--suite", "theorem", "--config", "theorem_override.json"],
@@ -88,6 +102,9 @@ INVOCATIONS: List[List[str]] = [
 ]
 
 CLI = "import sys; from funcoord.cli import main; sys.exit(main())"
+
+#: the outputs shown by value when they differ: stdout, JSON and CSV files
+SHOWN = ("<stdout>", ".json", ".csv")
 
 
 def export(rev: str, dest: Path) -> None:
@@ -135,9 +152,8 @@ def moved_values(old, new) -> List[str]:
 
 def run(tree: Path, argv: List[str], cwd: Path) -> Dict[str, object]:
     """Run one invocation of ``tree``'s CLI in the fresh directory ``cwd``;
-    return its exit code, the sha256 of its streams and of every file it
-    left in ``cwd``, by name relative to ``cwd``, and the :func:`parsed`
-    stdout and JSON files, by the same names."""
+    return its exit code, its stdout, ``cwd`` and the sha256 of its streams
+    and of every file it left in ``cwd``, by name relative to ``cwd``."""
     cwd.mkdir(parents=True)
     for name, text in INPUT_FILES.items():
         (cwd / name).write_text(text, encoding="utf-8")
@@ -156,9 +172,12 @@ def run(tree: Path, argv: List[str], cwd: Path) -> Dict[str, object]:
     }
     digests["<stdout>"] = hashlib.sha256(proc.stdout).hexdigest()
     digests["<stderr>"] = hashlib.sha256(proc.stderr).hexdigest()
-    values = {name: parsed((cwd / name).read_bytes()) for name in digests if name.endswith(".json")}
-    values["<stdout>"] = parsed(proc.stdout)
-    return {"exit": proc.returncode, "digests": digests, "values": values}
+    return {"exit": proc.returncode, "digests": digests, "stdout": proc.stdout, "dir": cwd}
+
+
+def shown(side: Dict[str, object], name: str):
+    """The :func:`parsed` stdout or output file ``name`` of a :func:`run`."""
+    return parsed(side["stdout"] if name == "<stdout>" else (side["dir"] / name).read_bytes())
 
 
 def main(argv=None) -> int:
@@ -186,8 +205,8 @@ def main(argv=None) -> int:
             print(f"[{'same' if same else 'DIFF'}] {' '.join(invocation)}: "
                   f"exit {old['exit']} -> {new['exit']}")
             for name in moved:
-                both = name in old["values"] and name in new["values"]
-                lines = moved_values(old["values"][name], new["values"][name]) if both else []
+                both = name.endswith(SHOWN) and name in old["digests"] and name in new["digests"]
+                lines = moved_values(shown(old, name), shown(new, name)) if both else []
                 if not lines:
                     # a file only one tree wrote, or that differs in bytes only
                     before, after = (side["digests"].get(name, "absent")[:12] for side in (old, new))

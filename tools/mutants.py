@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from compare_outputs import export, run
+from compare_outputs import export, run, shown
 
 #: the verify runs of each tree; compare_outputs.run appends "--out out"
 COMMANDS: List[List[str]] = [
@@ -82,10 +82,11 @@ def verified(tree: Path, cwd: Path) -> Tuple[bool, List[str]]:
     passed, lines = True, []
     for c, command in enumerate(COMMANDS):
         result = run(tree, command, cwd / str(c))
-        values = result["values"]
-        failed = sorted(name[len("out/suite_"):-len(".json")] for name, doc in values.items()
-                        if name.startswith("out/suite_") and not doc["passed"])
-        if "out/summary.json" not in values:
+        names = result["digests"]
+        failed = sorted(name[len("out/suite_"):-len(".json")] for name in names
+                        if name.startswith("out/suite_") and name.endswith(".json")
+                        and not shown(result, name)["passed"])
+        if "out/summary.json" not in names:
             failed.append(f"(stopped, exit {result['exit']}, before the summary)")
         passed = passed and result["exit"] == 0
         lines.append(f"    {' '.join(command)}: exit {result['exit']}, "
