@@ -42,7 +42,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .distributions import GeneralizedFunction
+from .distributions import GeneralizedFunction, _is
 from .errors import DomainError, FuncoordError
 from .grid import _ROW_BLOCK, Grid, csv_blocks, csv_text, make_uniform_grid
 from .kernels import (
@@ -204,10 +204,10 @@ class RunConfig:
             if unread:
                 what = f"suite {name!r}" if name in SUITES else command
                 raise ConfigError(f"{what} does not read {unread}; it reads {sorted(reads)}")
-        if self.n is not None and self.n < 8:
-            raise ConfigError(f"n must be >= 8, got {self.n}")
-        if self.lo is not None and self.hi is not None and not self.hi > self.lo:
-            raise ConfigError(f"need hi > lo, got [{self.lo}, {self.hi}]")
+            try:  # make_uniform_grid's rule, on the grids the run will build
+                _grids(self, name)
+            except DomainError as exc:
+                raise ConfigError(str(exc)) from exc
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.seed < 0:
@@ -255,10 +255,11 @@ class RunConfig:
 
 
 def _check_type(key: str, value, hint) -> None:
-    """Raise :class:`ConfigError` unless a config value read from JSON fits
-    its field's annotation: ``Optional`` admits None, a bool is no number,
-    an int passes as a float, and list items and dict values are checked
-    against their own annotations."""
+    """Raise :class:`ConfigError` unless a config value, from a flag or the
+    config file, fits its field's annotation by :func:`distributions._is`:
+    ``Optional`` admits None, a number is finite and no bool, an int passes
+    as a float, and list items and dict values (each named by its key) are
+    checked against their own annotations."""
     args = get_args(hint)
     if type(None) in args:
         if value is None:
@@ -266,15 +267,12 @@ def _check_type(key: str, value, hint) -> None:
         hint = args[0]
         args = get_args(hint)
     kind = get_origin(hint) or hint
-    if isinstance(value, bool):
-        ok = kind is bool
-    else:
-        ok = isinstance(value, (int, float) if kind is float else kind)
-    if not ok:
-        raise ConfigError(f"config value {key!r} must be {kind.__name__}, got {value!r}")
+    if not _is(value, (int, float) if kind is float else kind):
+        what = "a finite number" if kind is float else kind.__name__
+        raise ConfigError(f"config value {key!r} must be {what}, got {value!r}")
     if args and kind in (list, dict):
-        for item in value if kind is list else value.values():
-            _check_type(key, item, args[-1])
+        for name, item in value.items() if kind is dict else enumerate(value):
+            _check_type(f"{key}.{name}" if kind is dict else key, item, args[-1])
 
 
 def _load_config(path: Optional[str]) -> dict:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
@@ -146,9 +147,9 @@ class GeneralizedFunction:
         [[x0, h] | [x0, q, h], ...], "singular": [[x0, q, a], ...]}`` strictly, only
         ``grid`` required and no other key: the document and ``grid`` must be objects,
         ``grid.lo``, ``grid.hi`` and every ``smooth`` item numbers, ``grid.n`` an integer,
-        ``grid.periodic`` a boolean, every number finite and every entry of the form
-        :func:`_canonical` reads, or :class:`DomainError` names the key, field, item or entry."""
-        doc = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+        ``grid.periodic`` a boolean and every entry of the form :func:`_canonical` reads, each
+        number by :func:`_is`, or :class:`DomainError` names the key, field, item or entry."""
+        doc = json.loads(text)
         if not isinstance(doc, dict):
             raise DomainError(f"the input must be a JSON object, got {type(doc).__name__}")
         g = doc["grid"]
@@ -172,17 +173,14 @@ class GeneralizedFunction:
                    jumps=doc.get("jumps", []))
 
 
-def _finite_number(literal: str) -> float:
-    """A JSON number literal as a float; a non-finite one raises DomainError."""
-    value = float(literal)
-    if not math.isfinite(value):
-        raise DomainError(f"number {literal} in the input is not finite")
-    return value
-
-
 def _is(value, kind) -> bool:
-    """Whether ``value`` is a ``kind``, a bool counting as a bool only, not a number."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    """Whether ``value`` is a ``kind``, the one rule for a value a user gives:
+    a bool is a bool only, and a number is a real that is not a bool and is
+    finite (a float's range, so neither nan, an infinity nor an overflowing int)."""
+    if kind is bool or not isinstance(value, kind):
+        return isinstance(value, kind)
+    return not isinstance(value, bool) and (
+        not isinstance(value, Real) or abs(value) <= sys.float_info.max)
 
 
 def _canonical(kind: str, entries, grid: Grid) -> tuple:

@@ -65,6 +65,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .grid import (
+    MAX_FD_ORDER,
     Grid,
     OperatorMatrix,
     _circulant,
@@ -681,8 +682,8 @@ def residual_blocks(
             f"kernel {kernel.id!r} has no analytic y-partials; it takes y-order 0 only, got {m}"
         )
     fd_x = not kernel._analytic("x", n)
-    if fd_x and n > 4:
-        raise UnsupportedOrderError(f"finite-difference path supports x-order <= 4, got {n}")
+    if fd_x and n > MAX_FD_ORDER:
+        raise UnsupportedOrderError(f"finite differences take x-order <= {MAX_FD_ORDER}, got {n}")
     yg = grid if y_grid is None else y_grid
     x = grid.nodes
     y = yg.nodes

@@ -76,10 +76,31 @@ def test_inputs_declares_each_suite_and_the_residuals_it_reports(tmp_path):
         assert set(INPUTS[suite][2]) == (set() if suite == "theorem" else reported), suite
 
 
-@pytest.mark.parametrize("n", [32, 64, 128])
-@pytest.mark.parametrize("suite", [s for s in SUITES if "n" in INPUTS[s][0]])
+#: grid sizes from the smallest a grid takes to n = 1024, past each known defect's edge
+GRID_LADDER = (8, 12, 16, 24, 28, 32, 33, 48, 64, 96, 128, 200, 224, 256, 512, 1024)
+
+
+def _known_grid_size_defect(suite, n):
+    """Why ``suite`` is known to fail at ``n`` (ROADMAP item 2), or a false value."""
+    return {
+        "fourier": n >= 224 and "the kernel self-check's fixed FD step exits 4 from n = 224 on",
+        "product": n <= 28 and "score_bw2's band, counted in nodes, exits 1 up to n = 28",
+        "riccati": n <= 12 and "the FD kernel-equation residual exits 1 at n = 8 and 12",
+    }.get(suite)
+
+
+@pytest.mark.parametrize("suite, n", [
+    pytest.param(suite, n, id=f"{suite}-{n}", marks=[pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=f"ROADMAP item 2: {reason}",
+    )] if (reason := _known_grid_size_defect(suite, n)) else [])
+    for suite in SUITES if "n" in INPUTS[suite][0] for n in GRID_LADDER
+])
 def test_suites_that_read_n_pass_at_every_grid_size(tmp_path, suite, n):
-    assert run(["verify", "--suite", suite, "--n", str(n), "--out", str(tmp_path)]) == 0
+    # a mended defect shows as an XPASS, which fails until its mark is dropped;
+    # riccati skips its n x n table, which no check reads
+    formats = ["--format", "json"] if suite == "riccati" else []
+    argv = ["verify", "--suite", suite, "--n", str(n), *formats, "--out", str(tmp_path)]
+    assert run(argv) == 0
 
 
 def test_verify_rejects_small_grid(tmp_path):
@@ -197,9 +218,9 @@ def test_transform_bad_json_is_config_error(tmp_path):
     ("n", "true", "grid.n must be an integer, got True"),
     ("singular", "[[0.5, 1.7, 1.0]]", "singular order must be an integer, got 1.7"),
     ("jumps", "[[0.5, 1.5, 1.0]]", "jump order must be an integer, got 1.5"),
-    ("sample", "NaN", "number NaN in the input is not finite"),
-    ("sample", "-Infinity", "number -Infinity in the input is not finite"),
-    ("sample", "1e999", "number 1e999 in the input is not finite"),
+    ("sample", "NaN", "smooth must be a list of numbers; nan is not one"),
+    ("sample", "-Infinity", "smooth must be a list of numbers; -inf is not one"),
+    ("sample", "1e999", "smooth must be a list of numbers; inf is not one"),
     ("document", "[]", "the input must be a JSON object, got list"),
     ("grid", "[1, 2]", "grid must be an object, got [1, 2]"),
     ("lo", "null", "grid.lo must be a number, got None"),
@@ -213,12 +234,13 @@ def test_transform_bad_json_is_config_error(tmp_path):
     ("singular", "[[0.0, 1, 1.0], [0.5, -1, 1.0]]",
      "singular order must be >= 0, got -1 in singular entry 1"),
     ("singular", "[[null, 1, 1.0]]", "singular entry 0 must have numbers as x0 and weight"),
+    ("singular", "[[0.5, 1, Infinity]]", "singular entry 0 must have numbers as x0 and weight"),
     ("jumps", "[[0.5]]", "jump entry 0 must be [x0, order, weight] or [x0, weight], got [0.5]"),
     ("jumps", '[[0.5, "1"]]', "jump entry 0 must have numbers as x0 and weight"),
 ], ids=["periodic-text", "n-float", "n-bool", "singular-order", "jump-order", "nan", "-inf", "1e999",
         "document-array", "grid-array", "lo-null", "sample-null", "smooth-text", "singular-number",
         "singular-short", "singular-entry-number", "singular-long", "singular-negative-order",
-        "singular-null-x0", "jump-short", "jump-text-height"])
+        "singular-null-x0", "singular-inf-weight", "jump-short", "jump-text-height"])
 def test_transform_reads_its_input_strictly(tmp_path, capsys, field, value, message):
     # coercion would read "false" as a periodic grid (bool("false") is true),
     # 64.7 as 64 and the orders as 1, and write non-finite samples out; an
@@ -632,7 +654,49 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, doc):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert run(["verify", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    assert repr(next(iter(doc))) in capsys.readouterr().err
+    # a dict value is named by its key within the field
+    [(field, value)] = doc.items()
+    name = f"{field}.{next(iter(value))}" if isinstance(value, dict) else field
+    assert repr(name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["verify", "--suite", "product", "--hi=inf"], None,
+     "config value 'hi' must be a finite number, got inf"),
+    (["residual", "1", "1", "--lo=-inf"], None,
+     "config value 'lo' must be a finite number, got -inf"),
+    (["residual", "1", "1"], '{"lo": -1e999}',
+     "config value 'lo' must be a finite number, got -inf"),
+    # an int past a float's range, which float() cannot convert
+    (["residual", "1", "1"], '{"lo": -1' + "0" * 400 + "}",
+     "config value 'lo' must be a finite number, got -1000"),
+    (["verify", "--suite", "product"], '{"tolerances": {"product.score_bw2": Infinity}}',
+     "config value 'tolerances.product.score_bw2' must be a finite number, got inf"),
+    (["transform"], '{"kernel": {"id": "dilation", "c": NaN}}',
+     "config value 'kernel.c' must be a finite number, got nan"),
+    (["transform"], '{"kernel": {"id": "dilation", "c": Infinity}}',
+     "config value 'kernel.c' must be a finite number, got inf"),
+    # one of lo / hi against the other's default: make_uniform_grid's rule, before any suite
+    (["verify", "--suite", "derivative", "--suite", "product", "--lo", "7"], None,
+     "need hi > lo, got [7.0, 6.0]"),
+], ids=["hi-flag", "lo-flag", "lo-config", "lo-config-int", "tolerance", "kernel-nan", "kernel-inf",
+        "lo-past-default-hi"])
+def test_number_or_grid_outside_the_input_rule_writes_nothing(
+        tmp_path, capsys, argv, config, message):
+    # a non-finite number would otherwise run on into a numerical failure (exit 4),
+    # turn a tolerance gate off, write an `Infinity` token or write nan samples
+    if argv[0] == "transform":
+        argv = [*argv, "--input", make_gf_json(tmp_path, "smooth.json", {
+            "smooth": [0.0] * 64, "jumps": [], "singular": [], "grid": GRID_DOC,
+        })]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_is_config_error(tmp_path, capsys):

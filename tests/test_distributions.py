@@ -230,11 +230,13 @@ def test_operator_rejects_function_coefficients(wide_grid):
         apply_constant_coeff_operator([(1, lambda x: x)], f)
 
 
-@pytest.mark.parametrize("term", [(1.7, 1.0), (True, 1.0), (-1, 1.0), (1, True)],
-                         ids=["order-float", "order-bool", "order-negative", "coeff-bool"])
+@pytest.mark.parametrize("term", [(1.7, 1.0), (True, 1.0), (-1, 1.0), (1, True),
+                                  (1, float("nan")), (1, float("inf"))],
+                         ids=["order-float", "order-bool", "order-negative", "coeff-bool",
+                              "coeff-nan", "coeff-inf"])
 def test_operator_terms_follow_the_input_rules(term):
-    # orders as _canonical reads them (an integer, not a bool, >= 0), real
-    # coefficients: int(1.7) would make the first term a first derivative
+    # orders as _canonical reads them (an integer, not a bool, >= 0), real and
+    # finite coefficients: int(1.7) would make the first term a first derivative
     f = GeneralizedFunction(make_uniform_grid(-1.0, 1.0, 16), singular=[(0.0, 0, 1.0)])
     with pytest.raises(DomainError):
         apply_constant_coeff_operator([term], f)

@@ -69,6 +69,8 @@ INPUT_FILES = {
     "structured.json": json.dumps(STRUCTURED),
     "unit.json": json.dumps(UNIT),
     "theorem_override.json": json.dumps({"tolerances": {"theorem.operator_residual": 1.0}}),
+    # json.dumps writes the non-standard token Infinity
+    "infinite_tolerance.json": json.dumps({"tolerances": {"product.score_bw2": math.inf}}),
 }
 
 #: the compared command lines; each gets "--out out" appended, except the
@@ -95,6 +97,9 @@ INVOCATIONS: List[List[str]] = [
     ["verify", "--suite", "theorem", "--config", "theorem_override.json"],
     ["verify", "--suite", "nope"],
     ["verify", "--suite", "fourier", "--kernel", "gaussian"],
+    # non-finite numbers, by flag and in a config file
+    ["verify", "--suite", "product", "--hi=inf"],
+    ["verify", "--suite", "product", "--config", "infinite_tolerance.json"],
     ["--help"],
     ["verify", "--help"],
     ["transform", "--help"],
