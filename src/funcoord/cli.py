@@ -42,9 +42,9 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .distributions import GeneralizedFunction, _is
+from .distributions import GeneralizedFunction
 from .errors import DomainError, FuncoordError
-from .grid import _ROW_BLOCK, Grid, csv_blocks, csv_text, make_uniform_grid
+from .grid import _ROW_BLOCK, Grid, _is, csv_blocks, csv_text, make_uniform_grid
 from .kernels import (
     Kernel,
     _as_coefficient,
@@ -204,10 +204,6 @@ class RunConfig:
             if unread:
                 what = f"suite {name!r}" if name in SUITES else command
                 raise ConfigError(f"{what} does not read {unread}; it reads {sorted(reads)}")
-            try:  # make_uniform_grid's rule, on the grids the run will build
-                _grids(self, name)
-            except DomainError as exc:
-                raise ConfigError(str(exc)) from exc
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.seed < 0:
@@ -256,7 +252,7 @@ class RunConfig:
 
 def _check_type(key: str, value, hint) -> None:
     """Raise :class:`ConfigError` unless a config value, from a flag or the
-    config file, fits its field's annotation by :func:`distributions._is`:
+    config file, fits its field's annotation by :func:`grid._is`:
     ``Optional`` admits None, a number is finite and no bool, an int passes
     as a float, and list items and dict values (each named by its key) are
     checked against their own annotations."""
@@ -523,10 +519,11 @@ def cmd_verify(config: RunConfig) -> int:
     and an aggregate summary; exit 0 iff everything passed."""
     out = Path(config.out)
     summary = {"suites": {}, "all_passed": True, "seed": config.seed}
-    for suite in config.suites:
+    grids = [_grids(config, suite) for suite in config.suites]  # every one before any write
+    for suite, suite_grids in zip(config.suites, grids):
         tol = {key.partition(".")[2]: value for key, value in config.tolerances.items()
                if key.partition(".")[0] == suite}
-        reports = SUITES[suite](config, tol, *_grids(config, suite))
+        reports = SUITES[suite](config, tol, *suite_grids)
         passed = all(r.passed for r in reports)
         summary["suites"][suite] = passed
         summary["all_passed"] = summary["all_passed"] and passed
@@ -542,15 +539,13 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_transform(config: RunConfig, input_path: str) -> int:
     """Apply the configured kernel to a generalized function from JSON."""
-    try:
-        text = Path(input_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        gf = GeneralizedFunction.from_json(text)
-    except (FuncoordError, KeyError, ValueError) as exc:
+    try:  # an OSError is main's: exit 3
+        gf = GeneralizedFunction.from_json(Path(input_path).read_text(encoding="utf-8"))
+    except (FuncoordError, ValueError) as exc:
         print(f"error: invalid generalized-function JSON: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if config.invert and gf.smooth is None:
+        print("error: --invert needs a smooth part to invert", file=sys.stderr)
         return EXIT_CONFIG
 
     kernel = config.make_kernel()
@@ -570,9 +565,6 @@ def cmd_transform(config: RunConfig, input_path: str) -> int:
         _write_text(out / "transform.json", _dump_json(doc))
 
     if config.invert:
-        if gf.smooth is None:
-            print("error: --invert needs a smooth part to invert", file=sys.stderr)
-            return EXIT_CONFIG
         # V_r (s_r^-1 (U_r^H f)): the regularized inverse, never formed
         u, s, vh, report = _truncated_svd(discretize(kernel, gf.grid).entries, config.threshold)
         recovered = vh.conj().T @ ((u.conj().T @ gf.smooth) / s)

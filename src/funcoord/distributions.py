@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
@@ -38,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, UnsupportedOrderError
-from .grid import Grid, derivative, make_uniform_grid
+from .grid import Grid, _is, derivative, make_uniform_grid
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -148,11 +147,11 @@ class GeneralizedFunction:
         ``grid`` required and no other key: the document and ``grid`` must be objects,
         ``grid.lo``, ``grid.hi`` and every ``smooth`` item numbers, ``grid.n`` an integer,
         ``grid.periodic`` a boolean and every entry of the form :func:`_canonical` reads, each
-        number by :func:`_is`, or :class:`DomainError` names the key, field, item or entry."""
+        number by :func:`grid._is`, or :class:`DomainError` names the key, field, item or entry."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise DomainError(f"the input must be a JSON object, got {type(doc).__name__}")
-        g = doc["grid"]
+        g = doc.get("grid")
         if not isinstance(g, dict):
             raise DomainError(f"grid must be an object, got {g!r}")
         unknown = sorted({*doc} - {"grid", "smooth", "jumps", "singular"}) + sorted(
@@ -162,8 +161,8 @@ class GeneralizedFunction:
         for name, kind, what in (("lo", Real, "a number"), ("hi", Real, "a number"),
                                  ("n", Integral, "an integer"),
                                  ("periodic", bool, "true or false")):
-            if not _is(g[name], kind):
-                raise DomainError(f"grid.{name} must be {what}, got {g[name]!r}")
+            if not _is(g.get(name), kind):
+                raise DomainError(f"grid.{name} must be {what}, got {g.get(name)!r}")
         smooth = doc.get("smooth")
         bad = [v for v in smooth if not _is(v, Real)] if isinstance(smooth, list) else [smooth]
         if smooth is not None and bad:
@@ -171,16 +170,6 @@ class GeneralizedFunction:
         grid = make_uniform_grid(g["lo"], g["hi"], g["n"], g["periodic"])
         return cls(grid=grid, smooth=smooth, singular=doc.get("singular", []),
                    jumps=doc.get("jumps", []))
-
-
-def _is(value, kind) -> bool:
-    """Whether ``value`` is a ``kind``, the one rule for a value a user gives:
-    a bool is a bool only, and a number is a real that is not a bool and is
-    finite (a float's range, so neither nan, an infinity nor an overflowing int)."""
-    if kind is bool or not isinstance(value, kind):
-        return isinstance(value, kind)
-    return not isinstance(value, bool) and (
-        not isinstance(value, Real) or abs(value) <= sys.float_info.max)
 
 
 def _canonical(kind: str, entries, grid: Grid) -> tuple:

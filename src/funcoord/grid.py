@@ -19,7 +19,9 @@ from it: circulant on periodic grids, else the derivative of the identity.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -156,6 +158,16 @@ def csv_blocks(names: Sequence[str], x, y, values) -> Iterator[str]:
         yield template % tuple(row.tolist())
 
 
+def _is(value, kind) -> bool:
+    """Whether ``value`` is a ``kind``, the one rule for a value a user gives:
+    a bool is a bool only, and a number is a real that is not a bool and is
+    finite (a float's range, so neither nan, an infinity nor an overflowing int)."""
+    if kind is bool or not isinstance(value, kind):
+        return isinstance(value, kind)
+    return not isinstance(value, bool) and (
+        not isinstance(value, Real) or abs(value) <= sys.float_info.max)
+
+
 def make_uniform_grid(lo: float, hi: float, n: int, periodic: bool = False) -> Grid:
     """Build a uniform grid with quadrature weights.
 
@@ -165,8 +177,10 @@ def make_uniform_grid(lo: float, hi: float, n: int, periodic: bool = False) -> G
     Raises
     ------
     DomainError
-        If ``hi <= lo`` or ``n < 8``.
+        If ``lo`` or ``hi`` is not a finite number (:func:`_is`), ``hi <= lo`` or ``n < 8``.
     """
+    if not (_is(lo, Real) and _is(hi, Real)):
+        raise DomainError(f"need finite numbers lo and hi, got [{lo}, {hi}]")
     lo, hi = float(lo), float(hi)
     n = int(n)
     if not hi > lo:

@@ -146,6 +146,6 @@ def locality_score(A: Union[OperatorMatrix, FactoredMatrix], bandwidth_nodes: in
 
 
 def _squared_mass(values: np.ndarray) -> float:
-    """Sum of ``|v|^2`` over all entries."""
-    flat = values.ravel()
-    return float(np.vdot(flat, flat).real)
+    """Sum of ``|v|^2`` over all entries, by numpy's own summation, which
+    unlike BLAS ``dot`` does not change with the thread count."""
+    return float(np.sum(np.abs(values) ** 2))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .distributions import (
 from .errors import DomainError, NotASolutionError, PreconditionError
 from .grid import (
     Grid,
+    _is,
     _row_blocks,
     derivative,
     derivative_symbol,
@@ -63,7 +65,7 @@ from .kernels import (
     kernel_pde_residual,
     kernel_table,
 )
-from .operators import conjugate_factored, locality_score
+from .operators import _squared_mass, conjugate_factored, locality_score
 
 __all__ = [
     "VerificationReport",
@@ -143,8 +145,8 @@ def _tolerances(defaults: dict, overrides: Optional[Mapping[str, float]]) -> dic
         )
     merged = dict(defaults)
     for key, value in overrides.items():
-        if not value > 0:
-            raise DomainError(f"tolerance {key!r} must be positive, got {value}")
+        if not (_is(value, Real) and value > 0):
+            raise DomainError(f"tolerance {key!r} must be a positive finite number, got {value}")
         merged[key] = float(value)
     return merged
 
@@ -185,7 +187,7 @@ def check_fourier_diagonalizes(
     # has diagonal w_k^H (AW)_k / (n h^2) and squared Frobenius norm |AW|_F^2 / (n h^2)
     n, h = grid.n, grid.spacing
     diagonal = np.einsum("ij,ij->j", W.conj(), AW)
-    score0 = np.vdot(diagonal, diagonal).real / (n * h * h * np.vdot(AW, AW).real)
+    score0 = _squared_mass(diagonal) / (n * h * h * _squared_mass(AW))
     sigma = float(h * np.sqrt(n))
 
     kappa = wavenumbers(grid)

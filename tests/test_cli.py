@@ -210,6 +210,9 @@ def test_transform_bad_json_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["transform", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # bytes that are not UTF-8 are a bad input too, not an I/O failure or a traceback
+    bad.write_bytes(b"\xff\xfe{")
+    assert run(["transform", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -237,16 +240,22 @@ def test_transform_bad_json_is_config_error(tmp_path):
     ("singular", "[[0.5, 1, Infinity]]", "singular entry 0 must have numbers as x0 and weight"),
     ("jumps", "[[0.5]]", "jump entry 0 must be [x0, order, weight] or [x0, weight], got [0.5]"),
     ("jumps", '[[0.5, "1"]]', "jump entry 0 must have numbers as x0 and weight"),
+    # a value None leaves the field out
+    ("grid", None, "grid must be an object, got None"),
+    ("periodic", None, "grid.periodic must be true or false, got None"),
 ], ids=["periodic-text", "n-float", "n-bool", "singular-order", "jump-order", "nan", "-inf", "1e999",
         "document-array", "grid-array", "lo-null", "sample-null", "smooth-text", "singular-number",
         "singular-short", "singular-entry-number", "singular-long", "singular-negative-order",
-        "singular-null-x0", "singular-inf-weight", "jump-short", "jump-text-height"])
+        "singular-null-x0", "singular-inf-weight", "jump-short", "jump-text-height",
+        "grid-missing", "periodic-missing"])
 def test_transform_reads_its_input_strictly(tmp_path, capsys, field, value, message):
     # coercion would read "false" as a periodic grid (bool("false") is true),
     # 64.7 as 64 and the orders as 1, and write non-finite samples out; an
     # unchecked shape would end in a traceback, or read past a 4th element
     doc = {"smooth": [0.0] * 64, "jumps": [], "singular": [], "grid": {**GRID_DOC}}
-    if field in ("periodic", "n", "lo"):
+    if value is None:
+        del (doc["grid"] if field in ("periodic", "n", "lo") else doc)[field]
+    elif field in ("periodic", "n", "lo"):
         doc["grid"][field] = "@"
     elif field == "sample":
         doc["smooth"][10] = "@"
@@ -255,7 +264,7 @@ def test_transform_reads_its_input_strictly(tmp_path, capsys, field, value, mess
     else:
         doc[field] = "@"
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc).replace('"@"', value))
+    path.write_text(json.dumps(doc).replace('"@"', value or ""))
     out = tmp_path / "tr"
     assert run(["transform", "--input", str(path), "--kernel", "gaussian", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -297,6 +306,18 @@ def test_transform_kernel_overflow_is_numerical_failure(tmp_path, capsys):
 def test_transform_missing_file_is_io_error(tmp_path):
     assert run(["transform", "--input", str(tmp_path / "absent.json"),
                 "--out", str(tmp_path / "o")]) == 3
+
+
+def test_transform_invert_without_a_smooth_part_writes_nothing(tmp_path, capsys):
+    # the rule is checked before the forward transform writes its files
+    gf = make_gf_json(tmp_path, "delta.json", {
+        "jumps": [], "singular": [[0.0, 0, 1.0]], "grid": GRID_DOC,
+    })
+    out = tmp_path / "tr"
+    assert run(["transform", "--input", gf, "--kernel", "gaussian", "--invert",
+                "--out", str(out)]) == 2
+    assert "--invert needs a smooth part to invert" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_residual_gaussian_first_order(tmp_path, capsys):
@@ -585,6 +606,26 @@ def test_text_writer_leaves_no_file_when_the_write_fails(tmp_path):
     assert os.listdir(tmp_path) == []
     _write_text(path, "ok\n")
     assert path.read_text(encoding="utf-8") == "ok\n"
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a threaded BLAS reduction (dot) sums in an order that moves with the
+    # thread count; every report must hold the same bytes under 1 and 2 threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from funcoord.cli import main; sys.exit(main())",
+             "verify", "--suite", "product", "--suite", "fourier", "--n", "128", "--seed", "7",
+             "--out", str(tmp_path / threads)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names == sorted(os.listdir(tmp_path / "2"))
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_verify_riccati_at_n512_prints_once_and_writes_the_joined_table(tmp_path):

@@ -57,7 +57,8 @@ def test_weights_partition_any_interval(lo, span, n, periodic):
     assert np.all(np.diff(g.nodes) > 0)
 
 
-@pytest.mark.parametrize("bad", [(0.0, 1.0, 7), (1.0, 1.0, 16), (2.0, 1.0, 16)])
+@pytest.mark.parametrize("bad", [(0.0, 1.0, 7), (1.0, 1.0, 16), (2.0, 1.0, 16),
+                                 (-np.inf, 6.0, 32), (0.0, np.inf, 32)])
 def test_grid_rejects_bad_parameters(bad):
     lo, hi, n = bad
     with pytest.raises(DomainError):

@@ -60,6 +60,9 @@ def test_tolerance_override_validation():
         check_fourier_diagonalizes(g, tolerances={"no_such_key": 1.0})
     with pytest.raises(DomainError):
         check_fourier_diagonalizes(g, tolerances={"intertwine_max": -1.0})
+    # an infinite tolerance turns its gate off, and json.dumps writes it as Infinity
+    with pytest.raises(DomainError, match="must be a positive finite number, got inf"):
+        check_fourier_diagonalizes(g, tolerances={"intertwine_max": float("inf")})
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ INPUT_FILES = {
     "gf.json": json.dumps(GF),
     "structured.json": json.dumps(STRUCTURED),
     "unit.json": json.dumps(UNIT),
+    "delta_only.json": json.dumps({k: v for k, v in GF.items() if k != "smooth"}),
+    "no_periodic.json": json.dumps({**GF, "grid": {"lo": -6.0, "hi": 6.0, "n": 32}}),
     "theorem_override.json": json.dumps({"tolerances": {"theorem.operator_residual": 1.0}}),
     # json.dumps writes the non-standard token Infinity
     "infinite_tolerance.json": json.dumps({"tolerances": {"product.score_bw2": math.inf}}),
@@ -100,6 +102,10 @@ INVOCATIONS: List[List[str]] = [
     # non-finite numbers, by flag and in a config file
     ["verify", "--suite", "product", "--hi=inf"],
     ["verify", "--suite", "product", "--config", "infinite_tolerance.json"],
+    # transform inputs it rejects: a missing file exits 3, the other two exit 2
+    ["transform", "--input", "absent.json", "--kernel", "gaussian"],
+    ["transform", "--input", "delta_only.json", "--kernel", "gaussian", "--invert"],
+    ["transform", "--input", "no_periodic.json", "--kernel", "gaussian"],
     ["--help"],
     ["verify", "--help"],
     ["transform", "--help"],
