@@ -542,11 +542,9 @@ def cmd_transform(config: RunConfig, input_path: str) -> int:
     try:  # an OSError is main's: exit 3
         gf = GeneralizedFunction.from_json(Path(input_path).read_text(encoding="utf-8"))
     except (FuncoordError, ValueError) as exc:
-        print(f"error: invalid generalized-function JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"invalid generalized-function JSON: {exc}") from exc
     if config.invert and gf.smooth is None:
-        print("error: --invert needs a smooth part to invert", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--invert needs a smooth part to invert")
 
     kernel = config.make_kernel()
     values = apply(kernel, gf)

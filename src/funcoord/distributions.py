@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, UnsupportedOrderError
-from .grid import Grid, _is, derivative, make_uniform_grid
+from .grid import Grid, _is, _order, derivative, make_uniform_grid
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -202,15 +202,6 @@ def _canonical(kind: str, entries, grid: Grid) -> tuple:
     return tuple(sorted(key + (w,) for key, w in merged.items() if w != 0.0))
 
 
-def _order(order, what: str, where: str = "") -> int:
-    """``order`` as an int if it is an integer, not a bool, >= 0, else DomainError."""
-    if not _is(order, Integral):
-        raise DomainError(f"{what} must be an integer, got {order!r}{where}")
-    if order < 0:
-        raise DomainError(f"{what} must be >= 0, got {order}{where}")
-    return int(order)
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Test function given by its derivatives: ``fns[q]`` is the callable
@@ -232,7 +223,7 @@ class TestFunction:
         object.__setattr__(self, "values", self.grid.require_samples(values, "test function"))
 
     def derivative_at(self, q: int, x0: float) -> float:
-        if not 0 <= q < len(self.fns):
+        if _order(q) >= len(self.fns):
             raise DomainError(f"test function lacks derivative order {q}")
         return float(self.fns[q](x0))
 

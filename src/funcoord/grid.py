@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +44,7 @@ __all__ = [
 #: minimum node count accepted by make_uniform_grid
 MIN_NODES = 8
 
-#: maximum derivative order supported on non-periodic grids
+#: highest order of the finite differences (the derivative on non-periodic grids)
 MAX_FD_ORDER = 4
 
 #: entries per row block of the n x n layers filled or reduced by row blocks
@@ -168,6 +168,15 @@ def _is(value, kind) -> bool:
         not isinstance(value, Real) or abs(value) <= sys.float_info.max)
 
 
+def _order(order, what: str = "derivative order", where: str = "") -> int:
+    """``order`` as an int if it is an integer (:func:`_is`) >= 0, else DomainError."""
+    if not _is(order, Integral):
+        raise DomainError(f"{what} must be an integer, got {order!r}{where}")
+    if order < 0:
+        raise DomainError(f"{what} must be >= 0, got {order}{where}")
+    return int(order)
+
+
 def make_uniform_grid(lo: float, hi: float, n: int, periodic: bool = False) -> Grid:
     """Build a uniform grid with quadrature weights.
 
@@ -177,12 +186,14 @@ def make_uniform_grid(lo: float, hi: float, n: int, periodic: bool = False) -> G
     Raises
     ------
     DomainError
-        If ``lo`` or ``hi`` is not a finite number (:func:`_is`), ``hi <= lo`` or ``n < 8``.
+        If :func:`_is` finds no finite numbers ``lo``, ``hi``, no integer ``n`` or
+        no bool ``periodic``, or if ``hi <= lo`` or ``n < 8``.
     """
     if not (_is(lo, Real) and _is(hi, Real)):
         raise DomainError(f"need finite numbers lo and hi, got [{lo}, {hi}]")
-    lo, hi = float(lo), float(hi)
-    n = int(n)
+    if not (_is(n, Integral) and _is(periodic, bool)):
+        raise DomainError(f"need an integer n and a bool periodic, got {n!r}, {periodic!r}")
+    lo, hi, n = float(lo), float(hi), int(n)
     if not hi > lo:
         raise DomainError(f"need hi > lo, got [{lo}, {hi}]")
     if n < MIN_NODES:
@@ -207,11 +218,12 @@ def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
 
     Classic Fornberg recursion on an arbitrary node set: returns ``w`` such
     that ``sum_k w[k] f(nodes[k])`` approximates ``f^(order)(x0)`` with
-    accuracy ``len(nodes) - order`` (one better for symmetric stencils).
+    accuracy ``len(nodes) - order`` (one better for symmetric stencils),
+    for an ``order`` that passes :func:`_order`.
     """
     x = np.asarray(nodes, dtype=float)
     p = len(x)
-    if order >= p:
+    if _order(order) >= p:
         raise UnsupportedOrderError(
             f"{p} nodes cannot resolve derivative order {order}"
         )
@@ -254,8 +266,9 @@ def derivative_symbol(grid: Grid, q: int) -> np.ndarray:
     differentiation, including the even-``n`` Nyquist convention: the
     unpaired Nyquist mode gets multiplier 0 for odd ``q`` (the real
     differentiation matrix annihilates the sawtooth mode) and the usual
-    real value for even ``q``.
+    real value for even ``q``. ``q`` is an order by :func:`_order`.
     """
+    q = _order(q)
     mult = (1j * wavenumbers(grid)) ** q
     if grid.n % 2 == 0 and q % 2 == 1:
         mult[grid.n // 2] = 0.0
@@ -285,9 +298,13 @@ def _fd_band(grid: Grid, q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``right[i]`` row ``n - radius + i`` on the last q + 5 nodes: one-sided
     windows, so that the boundary closure does not degrade the interior
     order. Each stencil's diagonal weight is corrected by the stencil's
-    own sum, so constants differentiate to exactly zero. On a uniform grid
-    the weights depend on the spacing and ``q`` only, not on ``n``.
+    own sum, so constants differentiate to exactly zero. On a uniform grid the weights
+    depend on the spacing and ``q`` only, not on ``n``. The one finite-difference rule:
+    ``q`` is an order (:func:`_order`) from 1 to 4, else :class:`UnsupportedOrderError`.
     """
+    q = _order(q)
+    if not 1 <= q <= MAX_FD_ORDER:
+        raise UnsupportedOrderError(f"finite differences take orders 1 to {MAX_FD_ORDER}, got {q}")
     radius, p = _fd_radius(q), q + 5
     if p > grid.n:
         raise DomainError(f"grid too small for derivative order {q}")
@@ -341,22 +358,18 @@ def derivative(grid: Grid, values, q: int) -> np.ndarray:
 
     On a periodic grid the derivative is the Fourier multiplier
     :func:`derivative_symbol` (real for real ``values``); otherwise it is
-    the 4th-order finite difference of :func:`_fd_rows`, supported for
-    ``q <= 4``.
+    the 4th-order finite difference of :func:`_fd_rows` (``q <= 4``, :func:`_fd_band`).
 
     Raises
     ------
+    DomainError
+        If ``q`` is not an order (:func:`_order`), ``values`` does not have
+        ``n`` rows, or a non-periodic grid has fewer than ``q + 5`` nodes.
     UnsupportedOrderError
         If ``q < 1``, or ``q > 4`` on a non-periodic grid.
-    DomainError
-        If ``values`` does not have ``n`` rows, or a non-periodic grid has
-        fewer than ``q + 5`` nodes.
     """
-    q = int(q)
-    if q < 1 or (q > MAX_FD_ORDER and not grid.periodic):
-        raise UnsupportedOrderError(
-            f"derivative order must be >= 1 (<= {MAX_FD_ORDER} on a non-periodic grid), got {q}"
-        )
+    if _order(q) < 1:
+        raise UnsupportedOrderError(f"derivative order must be >= 1, got {q}")
     values = np.asarray(values)
     if values.shape[:1] != (grid.n,):
         raise DomainError(f"values of shape {values.shape} do not have {grid.n} rows")

@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import GeneralizedFunction, _order
+from .distributions import GeneralizedFunction
 from .errors import (
     DomainError,
     KernelEvaluationError,
@@ -65,12 +65,12 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .grid import (
-    MAX_FD_ORDER,
     Grid,
     OperatorMatrix,
     _circulant,
     _fd_radius,
     _fd_rows,
+    _order,
     _row_blocks,
     csv_blocks,
     diff_matrix,  # unused here; the perfbench tracer test reads kernels.diff_matrix
@@ -126,7 +126,8 @@ class Kernel:
 
     ``eval`` takes broadcastable arrays. ``dx_n``/``dy_n`` are the analytic
     partials ``(x, y, q) -> d^q w``: each answers every order ``q >= 1`` it
-    is asked for, or raises :class:`UnsupportedOrderError`. A missing
+    is asked for, or raises :class:`UnsupportedOrderError`; a ``q`` that is no
+    order (:func:`grid._order`), such as -1, raises :class:`DomainError`. A missing
     callable means centered finite differences of ``eval`` at every order
     along that axis. :func:`kernel_table` tabulates the kernel in the dtype
     of its values, with quadrature weights absorbed, and checks it is finite.
@@ -165,7 +166,7 @@ class Kernel:
     def _partial(self, axis: str, x, y, q: int):
         if self.factor is not None:
             raise DomainError(f"diagonal kernel {self.id!r} has no pointwise values")
-        if q == 0:
+        if _order(q) == 0:
             return self.eval(x, y)
         if self._analytic(axis, q):
             return (self.dx_n if axis == "x" else self.dy_n)(x, y, q)
@@ -380,6 +381,7 @@ def kernel_table(kernel: Kernel, x_rows: np.ndarray, grid: Grid, dx_order: int =
     rest is a strided copy of it. Every other table is filled one block of
     rows at a time, so only one block's temporaries are held beside it.
     """
+    dx_order = _order(dx_order)
     cols = column_nodes(kernel, grid)
     periodized = kernel.profile_n is not None and grid.periodic
     span = grid.hi - grid.lo
@@ -682,8 +684,6 @@ def residual_blocks(
             f"kernel {kernel.id!r} has no analytic y-partials; it takes y-order 0 only, got {m}"
         )
     fd_x = not kernel._analytic("x", n)
-    if fd_x and n > MAX_FD_ORDER:
-        raise UnsupportedOrderError(f"finite differences take x-order <= {MAX_FD_ORDER}, got {n}")
     yg = grid if y_grid is None else y_grid
     x = grid.nodes
     y = yg.nodes
@@ -696,8 +696,8 @@ def residual_blocks(
     # alike on every grid), and the rows without a centred stencil left out
     kept = (0, grid.n)
     if fd_x:
+        dx_rows = _fd_rows(grid, n)  # the finite-difference rule, before the table
         table = kernel.eval(x[:, None], y[None, :])
-        dx_rows = _fd_rows(grid, n)
         kept = (_fd_radius(n), grid.n - _fd_radius(n))
     if m:
         b_derivs = [

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import DomainError, MetricDegeneracyError
-from .grid import Grid, OperatorMatrix, _row_blocks
+from .grid import Grid, OperatorMatrix, _order, _row_blocks
 from .kernels import ConditionReport, _truncated_svd
 
 __all__ = [
@@ -120,12 +120,10 @@ def locality_score(A: Union[OperatorMatrix, FactoredMatrix], bandwidth_nodes: in
 
     Uses periodic index distance when the matrix carries a periodic grid.
     A zero matrix scores 1.0 (vacuously local). The physical bandwidth is
-    ``bandwidth_nodes * grid.spacing``. A :class:`FactoredMatrix` is scored
-    one block of rows at a time and never formed.
+    ``bandwidth_nodes * grid.spacing``, which :func:`grid._order` checks. A
+    :class:`FactoredMatrix` is scored one block of rows at a time and never formed.
     """
-    bandwidth_nodes = int(bandwidth_nodes)
-    if bandwidth_nodes < 0:
-        raise DomainError(f"bandwidth must be >= 0, got {bandwidth_nodes}")
+    bandwidth_nodes = _order(bandwidth_nodes, "bandwidth")
     n = A.n if isinstance(A, OperatorMatrix) else len(A.left)
     near = min(bandwidth_nodes, n - 1)
     offsets = set(range(-near, near + 1))

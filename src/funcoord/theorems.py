@@ -615,7 +615,7 @@ def check_nonlinear_tensor(
 ) -> VerificationReport:
     """Transformation law of the squared-derivative term.
 
-    LHS: transform ``phi_tilde``, differentiate, square pointwise.
+    LHS: transform ``phi_tilde`` by the tested table ``W``, differentiate, square pointwise.
     RHS: the double quadrature of the transformed (1,2)-tensor,
     ``sum_jl d_x w(x, y_j) d_x w(x, y_l) w_j w_l phi~_j phi~_l``, which
     factors into ``(sum_j d_x w(x, y_j) w_j phi~_j)^2`` and is evaluated
@@ -627,7 +627,8 @@ def check_nonlinear_tensor(
     """
     phi_tilde = grid.require_samples(np.asarray(phi_tilde, dtype=float), "phi_tilde")
     tol = _tolerances(NONLINEAR_TOLERANCES, tolerances)
-    phi = np.real(apply(kernel, GeneralizedFunction(grid, smooth=phi_tilde)))
+    W = discretize(kernel, grid)
+    phi = np.real(W.entries @ phi_tilde)
     lhs = derivative(grid, phi, 1) ** 2
     if kernel.factor is not None:
         # a diagonal kernel's tensor is c^2 times the square, for constant c
@@ -654,7 +655,6 @@ def check_nonlinear_tensor(
     left = 1.0 + 0.5 * np.cos(k * grid.nodes)
     right = np.sin(k * grid.nodes) + 2.0
     rank1 = np.outer(left, right)
-    W = discretize(kernel, grid)
     inverse, condition = invert(W, threshold)
     if condition.truncated == 0 and condition.sigma_max <= 1.0e6 * condition.sigma_min:
         mover = inverse.entries

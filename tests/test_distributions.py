@@ -109,6 +109,13 @@ def test_pair_requires_derivative_orders(wide_grid):
         pair(f, phi)
 
 
+@pytest.mark.parametrize("q", [True, -1, 1.5])
+def test_test_function_derivatives_take_orders_by_the_order_rule(wide_grid, q):
+    # fns[True] would be the first derivative
+    with pytest.raises(DomainError):
+        bump_test_function(wide_grid, 1).derivative_at(q, 0.0)
+
+
 def test_pair_linearity(wide_grid):
     rng = np.random.default_rng(11)
     smooth = np.exp(-wide_grid.nodes**2)

@@ -58,11 +58,14 @@ def test_weights_partition_any_interval(lo, span, n, periodic):
 
 
 @pytest.mark.parametrize("bad", [(0.0, 1.0, 7), (1.0, 1.0, 16), (2.0, 1.0, 16),
-                                 (-np.inf, 6.0, 32), (0.0, np.inf, 32)])
+                                 (-np.inf, 6.0, 32), (0.0, np.inf, 32),
+                                 # int(64.7) would build 64 nodes
+                                 (0.0, 1.0, 64.7), (0.0, 1.0, True), (0.0, 1.0, "64"),
+                                 # and 'false' would be a periodic grid
+                                 (0.0, 1.0, 32, "false"), (0.0, 1.0, 32, 1)])
 def test_grid_rejects_bad_parameters(bad):
-    lo, hi, n = bad
     with pytest.raises(DomainError):
-        make_uniform_grid(lo, hi, n)
+        make_uniform_grid(*bad)
 
 
 @pytest.mark.parametrize("periodic", [True, False])
@@ -227,11 +230,33 @@ def test_derivative_order_and_size_validation():
     for grid, q in ((g, 0), (gp, 0), (g, 5)):
         with pytest.raises(UnsupportedOrderError):
             derivative(grid, np.ones(16), q)
+    # int(1.7) and int(True) would take a first derivative
+    for grid, q in ((g, 1.7), (gp, 1.7), (g, True), (gp, True), (gp, -1)):
+        with pytest.raises(DomainError):
+            derivative(grid, np.ones(16), q)
     # a one-sided boundary stencil takes q + 5 nodes
     with pytest.raises(DomainError):
         derivative(make_uniform_grid(0.0, 1.0, 8, periodic=False), np.ones(8), 4)
     with pytest.raises(DomainError):
         derivative(g, np.ones(15), 1)
+
+
+@pytest.mark.parametrize("q", [0, 5])
+def test_finite_differences_take_orders_one_to_four(q):
+    # a 7-point stencil of order 5 would not be 4th order
+    g = make_uniform_grid(0.0, 1.0, 16, periodic=False)
+    for build in (grid_module._fd_band, grid_module._fd_rows):
+        with pytest.raises(UnsupportedOrderError, match=f"orders 1 to 4, got {q}"):
+            build(g, q)
+        with pytest.raises(DomainError):
+            build(g, q + 0.5)
+
+
+@pytest.mark.parametrize("q", [-1, 1.5, True])
+def test_derivative_symbol_takes_orders_by_the_order_rule(q):
+    # (i kappa)^-1 would divide by the zero wavenumber
+    with pytest.raises(DomainError):
+        derivative_symbol(make_uniform_grid(0.0, 2 * np.pi, 16, periodic=True), q)
 
 
 def test_large_entries_are_freed_with_their_caller():
@@ -279,6 +304,10 @@ def test_fd_weights_recover_taylor_coefficients():
     x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     w = fd_weights(x, 0.0, 1)
     assert_allclose(w, [1 / 12, -8 / 12, 0, 8 / 12, -1 / 12], atol=1e-13)
+    # fd_weights(x, 0.0, True) would be a first derivative, -1 an IndexError
+    for order in (-1, 1.5, True):
+        with pytest.raises(DomainError):
+            fd_weights(x, 0.0, order)
 
 
 def test_operator_matrix_validation():

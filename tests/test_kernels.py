@@ -103,6 +103,22 @@ def test_dilation_equals_multiplication_by_the_constant(wide_grid):
             apply(k, with_delta)
 
 
+@pytest.mark.parametrize("q", [-1, 1.7, True])
+def test_partials_take_orders_by_the_order_rule(q):
+    # at -1 the gaussian's profile is its antiderivative, sqrt(pi)/2 at 0
+    k = gaussian()
+    for partial in (k.partial_x, k.partial_y):
+        with pytest.raises(DomainError):
+            partial(0.0, 0.0, q)
+
+
+def test_periodized_table_takes_orders_by_the_order_rule():
+    # the periodized branch evaluates the profile itself, not a partial
+    g = make_uniform_grid(-6.0, 6.0, 48, periodic=True)
+    with pytest.raises(DomainError, match="must be >= 0, got -1"):
+        kernel_table(gaussian(), g.nodes, g, dx_order=-1)
+
+
 def test_kernel_without_partials_takes_finite_differences_of_its_values():
     # w = (1 + y^2) e^{-sin(x) y} declares no partials: every order on
     # either axis is a finite difference of the values
@@ -524,6 +540,15 @@ def test_residual_translation_kernel_identically_zero():
     assert x.size == g.n - 4 and np.max(np.abs(values - exact)) < 1e-2
     with pytest.raises(UnsupportedOrderError):
         kernel_pde_residual(plain, 1, 1, 1.0, 1.0, g)
+
+
+def test_values_only_residual_takes_the_finite_difference_rule_before_its_table(wide_grid):
+    def unreached(x, y):
+        raise AssertionError("the table was evaluated")
+
+    k = Kernel(id="values_only", eval=unreached)
+    with pytest.raises(UnsupportedOrderError, match="finite differences take orders 1 to 4, got 5"):
+        kernel_pde_residual(k, 5, 0, 1.0, 1.0, wide_grid)
 
 
 def test_residual_separable_exponent_family():

@@ -164,8 +164,10 @@ def test_locality_score_reference_values():
     tri = np.diag(np.ones(6)) + np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
     assert locality_score(OperatorMatrix(tri), 1) == 1.0
     assert locality_score(OperatorMatrix(np.zeros((4, 4))), 0) == 1.0
-    with pytest.raises(DomainError):
-        locality_score(OperatorMatrix(np.eye(4)), -1)
+    # int(1.7) would score band 1
+    for bandwidth in (-1, 1.7, True):
+        with pytest.raises(DomainError):
+            locality_score(OperatorMatrix(np.eye(4)), bandwidth)
 
 
 def test_locality_score_periodic_distance():
